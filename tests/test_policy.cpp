@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 
 #include "core/ckpt_policy.hpp"
@@ -285,6 +286,12 @@ TEST(ConfigValidate, CollectsEveryViolationInOneError) {
 /// The default FixedIntervalPolicy must reproduce them exactly: integer
 /// counters bit-for-bit, clock sums to 1e-9 relative (libm slack across
 /// platforms — locally the full struct is bit-identical).
+///
+/// The trailing columns pin the commit accounting the scalar counters above
+/// do not see: delta bytes, chunk dedup, chain-start (full) checkpoints,
+/// tiered promotions and recoveries per tier. The delta_chain = 2 rows were
+/// recorded from the runner that still had separate sync and staged
+/// checkpoint paths, before they were merged into one pipeline.
 struct GoldenRun {
   int scheme;
   int mode;
@@ -294,21 +301,46 @@ struct GoldenRun {
   double virtual_seconds, ckpt_seconds_total, ckpt_drain_seconds_total;
   double backpressure_seconds_total, recovery_seconds_total;
   double mean_ckpt_stored_bytes;
+  int delta_chain;
+  double delta_bytes_total;
+  std::size_t chunks_deduped;
+  int full_checkpoints, promotions_completed;
+  std::array<int, 3> recoveries_by_tier;
 };
 
 constexpr GoldenRun kGoldenRuns[] = {
     {0, 0, 27, 23, 6, 5, 5, 0, 155.47494620307742, 5.3200523124999997, 0, 0,
-     5.3263023124999993, 8370},
+     5.3263023124999993, 8370, 0, 0, 0, 5, 0, {0, 0, 0}},
     {0, 1, 28, 23, 6, 5, 5, 0, 154.46093588321631, 0.25000071319444445,
-     5.320052312499989, 0, 5.3263023124999993, 8370},
+     5.320052312499989, 0, 5.3263023124999993, 8370, 0, 0, 0, 5, 0, {0, 0, 0}},
     {0, 2, 25, 23, 3, 5, 2, 0, 128.65508892409409, 0.25000071319444445,
-     0.25000072656248662, 0, 1.1152606078125, 8370},
+     0.25000072656248662, 0, 1.1152606078125, 8370, 0, 0, 0, 5, 8, {1, 0, 1}},
     {2, 0, 33, 30, 6, 7, 5, 0, 187.60293017691075, 7.4480123689999997, 0, 0,
-     5.326256511666668, 684.00000000000011},
+     5.326256511666668, 684.00000000000011, 0, 0, 0, 7, 0, {0, 0, 0}},
     {2, 1, 34, 30, 6, 7, 5, 0, 184.56092633591075, 0.35000049875,
-     7.4480123689999864, 0, 5.326256511666668, 684.00000000000011},
+     7.4480123689999864, 0, 5.326256511666668, 684.00000000000011, 0, 0, 0, 7,
+     0, {0, 0, 0}},
     {2, 2, 27, 25, 3, 6, 2, 0, 138.70508138262184, 0.3000004275,
-     0.30000555632290116, 0, 1.1152535785833335, 809.5},
+     0.30000555632290116, 0, 1.1152535785833335, 809.5, 0, 0, 0, 6, 9,
+     {1, 0, 1}},
+    // Delta chain 2: traditional × {sync, async, tiered}.
+    {0, 0, 27, 23, 6, 5, 5, 0, 155.47494628807743, 5.3200525250000013, 0, 0,
+     5.3263025250000009, 8404, 2, 25212, 0, 2, 0, {0, 0, 0}},
+    {0, 1, 28, 23, 6, 5, 5, 0, 154.46093592571631, 0.25000071319444445,
+     5.3200525249999941, 0, 5.3263025250000009, 8404, 2, 25212, 0, 2, 0,
+     {0, 0, 0}},
+    {0, 2, 25, 23, 3, 5, 2, 0, 128.65508896659406, 0.25000071319444445,
+     0.25000072951387153, 0, 1.1152606509027778, 8404, 2, 25212, 0, 2, 10,
+     {1, 0, 1}},
+    // Delta chain 2: lossy × {sync, async, tiered}.
+    {2, 0, 33, 29, 6, 7, 5, 0, 187.60293024066075, 7.4480130027499989, 0, 0,
+     5.3262566029166676, 756.42857142857144, 2, 2366, 0, 3, 0, {0, 0, 0}},
+    {2, 1, 34, 29, 6, 7, 5, 0, 184.56092635466075, 0.35000049875,
+     7.4480130027500024, 0, 5.3262566029166676, 756.42857142857144, 2, 2366, 0,
+     3, 0, {0, 0, 0}},
+    {2, 2, 27, 25, 3, 6, 2, 0, 138.70508139887184, 0.3000004275,
+     0.30000555767708192, 0, 1.1152535950590279, 822.5, 2, 2372, 0, 2, 11,
+     {1, 0, 1}},
 };
 
 void expect_golden_near(double actual, double golden) {
@@ -318,7 +350,8 @@ void expect_golden_near(double actual, double golden) {
 TEST(FixedPolicyGolden, BitIdenticalToPreRedesignRunsForAllModes) {
   for (const GoldenRun& g : kGoldenRuns) {
     SCOPED_TRACE("scheme=" + std::to_string(g.scheme) +
-                 " mode=" + std::to_string(g.mode));
+                 " mode=" + std::to_string(g.mode) +
+                 " delta_chain=" + std::to_string(g.delta_chain));
     const LocalProblem p = make_local_problem("cg", 8, 1e-8);
     auto solver = p.make_solver();
     ResilienceConfig cfg;
@@ -338,6 +371,7 @@ TEST(FixedPolicyGolden, BitIdenticalToPreRedesignRunsForAllModes) {
     // (recorded before the framed streaming path existed); running with
     // streaming off keeps them guarding that pipeline against drift.
     cfg.streaming.enabled = false;
+    cfg.delta.max_delta_chain = g.delta_chain;
     ResilientRunner runner(*solver, cfg);
     const ResilienceResult r = runner.run();
 
@@ -355,6 +389,11 @@ TEST(FixedPolicyGolden, BitIdenticalToPreRedesignRunsForAllModes) {
                        g.backpressure_seconds_total);
     expect_golden_near(r.recovery_seconds_total, g.recovery_seconds_total);
     expect_golden_near(r.mean_ckpt_stored_bytes, g.mean_ckpt_stored_bytes);
+    expect_golden_near(r.delta_bytes_total, g.delta_bytes_total);
+    EXPECT_EQ(r.chunks_deduped, g.chunks_deduped);
+    EXPECT_EQ(r.full_checkpoints, g.full_checkpoints);
+    EXPECT_EQ(r.promotions_completed, g.promotions_completed);
+    EXPECT_EQ(r.recoveries_by_tier, g.recoveries_by_tier);
     // Pacing observability: the fixed policy never adjusts.
     EXPECT_DOUBLE_EQ(r.policy_interval_final, 20.0);
     EXPECT_EQ(r.interval_adjustments, 0);
