@@ -133,11 +133,8 @@ void CheckpointManager::set_observability(obs::Sink sink) {
 }
 
 CheckpointRecord CheckpointManager::build_stream(
-    const std::vector<VarView>& vars, int version,
-    std::vector<byte_t>& bytes) const {
+    const std::vector<VarView>& vars, std::vector<byte_t>& bytes) const {
   CheckpointRecord rec;
-  rec.version = version;
-
   ByteWriter out;
   out.put(kMagic);
   out.put(kVersion);
@@ -166,7 +163,6 @@ CheckpointRecord CheckpointManager::build_stream(
       if (blk) comp = &*blk;
       out.put_string(comp->name());
       out.put(static_cast<std::uint64_t>(vec.size()));
-      rec.raw_bytes += vec.size() * sizeof(double);
       if (verbatim) {
         // Fast path: emit the NoneCompressor stream layout directly into
         // the checkpoint buffer instead of round-tripping the vector
@@ -200,8 +196,6 @@ CheckpointRecord CheckpointManager::build_stream(
       out.put(static_cast<std::uint8_t>(VarKind::kBlob));
       out.put_string("none");
       out.put(static_cast<std::uint64_t>(var.blob->size()));
-      rec.raw_bytes += var.blob->size();
-      rec.per_var_bytes[*var.name] = var.blob->size();
       out.put(static_cast<std::uint64_t>(var.blob->size()));
       out.put(crc32(*var.blob));
       out.put_bytes(*var.blob);
@@ -215,10 +209,8 @@ CheckpointRecord CheckpointManager::build_stream(
 }
 
 CheckpointRecord CheckpointManager::build_frame_stream(
-    const std::vector<VarView>& vars, int version, ByteSink& sink) const {
+    const std::vector<VarView>& vars, ByteSink& sink) const {
   CheckpointRecord rec;
-  rec.version = version;
-
   FrameWriter out(sink, streaming_, sink_);
   out.put(kVersion);
   out.put(static_cast<std::uint32_t>(vars.size()));
@@ -245,7 +237,6 @@ CheckpointRecord CheckpointManager::build_frame_stream(
         chunk_elems = block_elems_;
       out.put_string(comp->name());
       out.put(static_cast<std::uint64_t>(vec.size()));
-      rec.raw_bytes += vec.size() * sizeof(double);
       if (verbatim) {
         // Raw doubles straight into the frames; the frame style (e.g.
         // lz4) is the only compression layer, and the per-frame CRC the
@@ -280,8 +271,6 @@ CheckpointRecord CheckpointManager::build_frame_stream(
       out.put(static_cast<std::uint8_t>(VarKind::kBlob));
       out.put(static_cast<std::uint64_t>(var.blob->size()));
       out.put_bytes(*var.blob);
-      rec.raw_bytes += var.blob->size();
-      rec.per_var_bytes[*var.name] = var.blob->size();
     }
   }
   out.finish();
@@ -295,7 +284,6 @@ CheckpointRecord CheckpointManager::build_delta_stream(
     const ChunkBaseState* base, std::vector<byte_t>& bytes,
     std::shared_ptr<const ChunkBaseState>& out_state) const {
   CheckpointRecord rec;
-  rec.version = version;
   rec.base_version = base != nullptr ? base->version : -1;
   rec.chain_len = base != nullptr ? base->chain_len + 1 : 0;
 
@@ -332,7 +320,6 @@ CheckpointRecord CheckpointManager::build_delta_stream(
                        var.vec->size() * sizeof(double), stats.literal_bytes,
                        comp_timer.seconds());
       state->vars.push_back({var.id, comp_name, std::move(hashes)});
-      rec.raw_bytes += var.vec->size() * sizeof(double);
       rec.chunks += stats.chunks;
       rec.chunks_deduped += stats.refs;
       rec.per_var_bytes[*var.name] = stats.literal_bytes;
@@ -341,8 +328,6 @@ CheckpointRecord CheckpointManager::build_delta_stream(
       out.put(static_cast<std::uint64_t>(var.blob->size()));
       out.put(crc32(*var.blob));
       out.put_bytes(*var.blob);
-      rec.raw_bytes += var.blob->size();
-      rec.per_var_bytes[*var.name] = var.blob->size();
     }
   }
   rec.compress_seconds = timer.seconds();
@@ -378,7 +363,8 @@ void CheckpointManager::prune_retention(int latest_committed) {
     if (!base_of_.empty()) {
       std::set<int> live;
       mark_chain(latest_committed, live);
-      for (const auto& [staged, base] : staged_base_) mark_chain(base, live);
+      for (const auto& [v, staged] : staged_delta_)
+        mark_chain(staged.base, live);
       std::erase_if(base_of_,
                     [&live](const auto& e) { return !live.contains(e.first); });
     }
@@ -389,10 +375,10 @@ void CheckpointManager::prune_retention(int latest_committed) {
   // long as a retained (or in-flight staged) version's delta chain still
   // references it — dropping it would break that chain's recovery.
   std::set<int> live;
-  if (!base_of_.empty() || !staged_base_.empty()) {
+  if (!base_of_.empty() || !staged_delta_.empty()) {
     for (int v = std::max(0, keep_from); v <= latest_committed; ++v)
       mark_chain(v, live);
-    for (const auto& [staged, base] : staged_base_) mark_chain(base, live);
+    for (const auto& [v, staged] : staged_delta_) mark_chain(staged.base, live);
   }
 
   for (int v = prune_floor_; v < keep_from; ++v) {
@@ -423,41 +409,75 @@ std::shared_ptr<const ChunkBaseState> CheckpointManager::pick_delta_base()
   return committed_state_;
 }
 
+CheckpointRecord CheckpointManager::write_pending_version(
+    const std::vector<VarView>& vars, int version, const ChunkBaseState* base,
+    std::shared_ptr<const ChunkBaseState>& state, int slot) {
+  std::vector<byte_t> bytes;
+  std::unique_ptr<ByteSink> sink;
+  CheckpointRecord rec;
+  try {
+    if (max_delta_chain_ > 0) {
+      rec = build_delta_stream(vars, version, base, bytes, state);
+    } else if (streaming_.enabled) {
+      // Frames flow into the store sink while `vars` is still readable —
+      // the stream is never materialized, so peak memory is bounded by the
+      // frame writer, not the checkpoint size.
+      sink = store_->open_write_pending(version);
+      rec = build_frame_stream(vars, *sink);
+    } else {
+      rec = build_stream(vars, bytes);
+    }
+  } catch (...) {
+    // A throwing compressor must not strand the slot as busy forever. (A
+    // part-written streaming sink cleans up in its destructor.)
+    if (slot >= 0) release_slot(slot);
+    throw;
+  }
+  // The stream owns the data now; free the slot before the (slow) store
+  // write so the owner can stage the next checkpoint meanwhile. A streaming
+  // sink already holds every byte, so sealing it does not need the slot.
+  if (slot >= 0) release_slot(slot);
+  if (sink != nullptr)
+    sink->finish();
+  else
+    store_->write_pending(version, bytes);
+  rec.version = version;
+  for (const auto& var : vars) {
+    rec.raw_bytes += var.vec != nullptr ? var.vec->size() * sizeof(double)
+                                        : var.blob->size();
+    // Every format stores blobs verbatim.
+    if (var.blob != nullptr) rec.per_var_bytes[*var.name] = var.blob->size();
+  }
+  return rec;
+}
+
 CheckpointRecord CheckpointManager::checkpoint() {
   require(!entries_.empty(), "checkpoint: nothing protected");
   std::vector<VarView> views;
   views.reserve(entries_.size());
-  for (const auto& [id, e] : entries_) {
-    VarView v;
-    v.id = id;
-    v.name = &e.name;
-    v.vec = e.src;
-    v.blob = e.blob;
-    v.compressor = compressor_for(e);
-    views.push_back(v);
-  }
-  std::vector<byte_t> bytes;
+  for (const auto& [id, e] : entries_)
+    views.push_back({id, &e.name, e.src, e.blob, compressor_for(e)});
+  const int version = next_version_;
+  const auto base = pick_delta_base();
+  std::shared_ptr<const ChunkBaseState> state;
   CheckpointRecord rec;
-  if (max_delta_chain_ > 0) {
-    const auto base = pick_delta_base();
-    std::shared_ptr<const ChunkBaseState> state;
-    rec = build_delta_stream(views, next_version_, base.get(), bytes, state);
-    store_->write(rec.version, bytes);
-    base_of_[rec.version] = rec.base_version;
-    committed_state_ = std::move(state);
-  } else if (streaming_.enabled) {
-    // Stream frames straight into the store's staging sink and promote on
-    // success — the synchronous fusion of write_pending + commit, with
-    // peak memory bounded by the frame writer, not the checkpoint size.
-    auto sink = store_->open_write_pending(next_version_);
-    rec = build_frame_stream(views, next_version_, *sink);
-    sink->finish();
-    store_->commit(rec.version);
-  } else {
-    rec = build_stream(views, next_version_, bytes);
-    store_->write(rec.version, bytes);
+  try {
+    // The live variables are the source: no staging copy, no writer thread.
+    rec = write_pending_version(views, version, base.get(), state, -1);
+    store_->commit(version);
+  } catch (...) {
+    // Leave no half-written pending blob behind a failed write.
+    try {
+      store_->abort(version);
+    } catch (...) {  // NOLINT: best-effort cleanup; report the first error
+    }
+    throw;
   }
-  prune_retention(rec.version);
+  if (state != nullptr) {
+    base_of_[version] = rec.base_version;
+    committed_state_ = std::move(state);
+  }
+  prune_retention(version);
   ++next_version_;
   return rec;
 }
@@ -496,26 +516,27 @@ StageTicket CheckpointManager::stage() {
   StageTicket ticket;
   ticket.version = next_version_++;
 
+  // The drain's view of the slot; built here, on the owner thread.
+  std::vector<VarView> views;
   try {
     // Copy-assign into the slot's existing StagedVars so the double buffer
     // reuses its allocations from the previous round.
     slot.vars.resize(entries_.size());
+    views.reserve(entries_.size());
     std::size_t k = 0;
     for (const auto& [id, e] : entries_) {
       StagedVar& sv = slot.vars[k++];
-      sv.id = id;
       sv.name = e.name;
-      sv.compressor = compressor_for(e);
       if (e.src != nullptr) {
-        sv.is_vector = true;
         sv.vec = *e.src;
         sv.blob.clear();
         ticket.raw_bytes += e.src->size() * sizeof(double);
+        views.push_back({id, &sv.name, &sv.vec, nullptr, compressor_for(e)});
       } else {
-        sv.is_vector = false;
         sv.blob = *e.blob;
         sv.vec.clear();
         ticket.raw_bytes += e.blob->size();
+        views.push_back({id, &sv.name, nullptr, &sv.blob, compressor_for(e)});
       }
     }
   } catch (...) {
@@ -534,60 +555,13 @@ StageTicket CheckpointManager::stage() {
   // The delta base is decided here, on the owner thread, so the background
   // drain never touches the (owner-mutated) bookkeeping: it encodes against
   // an immutable snapshot of the base's hashes.
-  const bool delta = max_delta_chain_ > 0;
-  const bool streaming = !delta && streaming_.enabled;
-  std::shared_ptr<const ChunkBaseState> base;
-  if (delta) base = pick_delta_base();
-  auto drain = [this, version, slot_idx, delta, streaming, base] {
+  const auto base = pick_delta_base();
+  auto state = std::make_shared<std::shared_ptr<const ChunkBaseState>>();
+  auto drain = [this, version, slot_idx, base, state,
+                views = std::move(views)] {
     const WallTimer job_timer;  // Runs on the writer thread; registry shards.
-    std::vector<byte_t> bytes;
-    std::unique_ptr<ByteSink> sink;
-    CheckpointRecord rec;
-    try {
-      const StagingSlot& slot_ref =
-          slots_[static_cast<std::size_t>(slot_idx)];
-      std::vector<VarView> views;
-      views.reserve(slot_ref.vars.size());
-      for (const auto& sv : slot_ref.vars) {
-        VarView v;
-        v.id = sv.id;
-        v.name = &sv.name;
-        if (sv.is_vector)
-          v.vec = &sv.vec;
-        else
-          v.blob = &sv.blob;
-        v.compressor = sv.compressor;
-        views.push_back(v);
-      }
-      if (delta) {
-        std::shared_ptr<const ChunkBaseState> state;
-        rec = build_delta_stream(views, version, base.get(), bytes, state);
-        const std::lock_guard<std::mutex> lock(slot_mu_);
-        drained_states_[version] = std::move(state);
-      } else if (streaming) {
-        // Frames flow into the store sink while the slot is still held —
-        // that is the point: the stream is never materialized, so the
-        // slot's staged copy is the only full-size buffer alive.
-        sink = store_->open_write_pending(version);
-        rec = build_frame_stream(views, version, *sink);
-      } else {
-        rec = build_stream(views, version, bytes);
-      }
-    } catch (...) {
-      // A throwing compressor must not strand the slot as busy forever.
-      // (A part-written streaming sink cleans up in its destructor.)
-      release_slot(slot_idx);
-      throw;
-    }
-    // The stream owns the data now; free the slot before the (slow) store
-    // write so the solver can stage the next checkpoint meanwhile. The
-    // streaming sink already holds every byte, so sealing it does not need
-    // the slot either.
-    release_slot(slot_idx);
-    if (sink != nullptr)
-      sink->finish();
-    else
-      store_->write_pending(version, bytes);
+    const CheckpointRecord rec =
+        write_pending_version(views, version, base.get(), *state, slot_idx);
     if (sink_.metrics != nullptr)
       sink_.metrics->observe("ckpt.drain_job_seconds", job_timer.seconds());
     return rec;
@@ -596,11 +570,12 @@ StageTicket CheckpointManager::stage() {
   // completely: nothing else releases the slot once it is marked busy.
   try {
     staged_versions_.insert(version);
-    if (delta) staged_base_[version] = base != nullptr ? base->version : -1;
+    if (max_delta_chain_ > 0)
+      staged_delta_[version] = {base != nullptr ? base->version : -1, state};
     writer_->submit(version, std::move(drain));
   } catch (...) {
     staged_versions_.erase(version);
-    staged_base_.erase(version);
+    staged_delta_.erase(version);
     release_slot(slot_idx);
     throw;
   }
@@ -608,15 +583,13 @@ StageTicket CheckpointManager::stage() {
 }
 
 CheckpointRecord CheckpointManager::wait_drain(int version) {
-  // The writer surrenders each outcome once, so waiting on a version that
-  // was already committed/aborted (or never staged) would block forever —
-  // fail fast instead.
+  // The writer surrenders each outcome exactly once, so waiting on a
+  // version already committed/aborted (or never staged), or re-waiting on
+  // one whose drain threw, would block forever — fail fast instead.
   require(staged_versions_.contains(version),
           "wait_drain: version is not an in-flight drain");
   if (const auto it = drained_.find(version); it != drained_.end())
     return it->second;
-  // The writer surrenders each outcome exactly once, so a drain that threw
-  // is remembered here — re-waiting on it would block forever.
   if (failed_drains_.contains(version))
     throw corrupt_stream_error("wait_drain: drain already failed for version " +
                                std::to_string(version));
@@ -636,17 +609,11 @@ void CheckpointManager::commit_version(int version) {
   store_->commit(version);
   drained_.erase(version);
   staged_versions_.erase(version);
-  if (max_delta_chain_ > 0) {
+  if (const auto it = staged_delta_.find(version); it != staged_delta_.end()) {
+    // The drain joined above, so its write to the cell happened-before this.
     base_of_[version] = rec.base_version;
-    staged_base_.erase(version);
-    // The drain joined above, so its drained_states_ insert happened-before
-    // this read; the lock only orders against *other* in-flight drains.
-    const std::lock_guard<std::mutex> lock(slot_mu_);
-    if (const auto it = drained_states_.find(version);
-        it != drained_states_.end()) {
-      committed_state_ = std::move(it->second);
-      drained_states_.erase(it);
-    }
+    committed_state_ = std::move(*it->second.state);
+    staged_delta_.erase(it);
   }
   // Prune against the highest committed version, so an out-of-order commit
   // of an already-superseded version retires it immediately.
@@ -666,11 +633,7 @@ void CheckpointManager::abort_version(int version) {
   drained_.erase(version);
   failed_drains_.erase(version);
   staged_versions_.erase(version);
-  staged_base_.erase(version);
-  {
-    const std::lock_guard<std::mutex> lock(slot_mu_);
-    drained_states_.erase(version);
-  }
+  staged_delta_.erase(version);
 }
 
 void CheckpointManager::discard_version(int version) {

@@ -5,17 +5,18 @@
 ///        Recover() restores them — with a pluggable compressor per
 ///        variable and CRC-32 integrity on every payload.
 ///
-/// Two write paths share one serialization core:
-///  - checkpoint() — the synchronous path (CkptMode::kSync): compress +
-///    write + commit inline, blocking the caller for the full duration.
+/// One write pipeline, in two shapes that share its serialization body:
+///  - checkpoint() — the blocking case (CkptMode::kSync): the live variables
+///    are serialized straight into a pending store version, which commits
+///    before the call returns. No staging copy, no writer thread.
 ///  - stage() / wait_drain() / commit_version() / abort_version() — the
-///    staged pipeline (CkptMode::kAsync): stage() memcpys the protected
-///    variables into one of two staging slots and returns immediately; a
-///    background AsyncCheckpointWriter drains the slot (compression + store
-///    write) into a *pending* store version; the caller later promotes it
-///    with commit_version() or rolls it back with abort_version(). A third
-///    stage() while both slots are busy blocks until a drain finishes
-///    (double-buffer back-pressure, matching FTI semantics).
+///    staged case (CkptMode::kAsync, kTiered): stage() memcpys the protected
+///    variables into one of two staging slots and returns; a background
+///    AsyncCheckpointWriter drains the slot through the same body into a
+///    pending store version, which the caller later commits or rolls back.
+///    A third stage() while both slots are busy blocks until a drain
+///    finishes (double-buffer back-pressure, matching FTI semantics).
+/// Both shapes produce byte-identical streams for identical values.
 
 #include <array>
 #include <condition_variable>
@@ -94,7 +95,8 @@ class CheckpointManager {
   void unprotect(int id);
 
   /// Save all protected variables as a new checkpoint version
-  /// (synchronous: compress + write + commit before returning).
+  /// (blocking: compress + write + commit before returning). On a codec or
+  /// store error the pending version is dropped and the error rethrown.
   CheckpointRecord checkpoint();
 
   // ----- staged (asynchronous) pipeline ------------------------------------
@@ -232,12 +234,9 @@ class CheckpointManager {
   /// One variable captured in a staging slot (owning copies, so the live
   /// solver state can keep mutating while the drain compresses).
   struct StagedVar {
-    int id = 0;
     std::string name;
-    bool is_vector = false;
     Vector vec;
     std::vector<byte_t> blob;
-    const Compressor* compressor = nullptr;  // effective (resolved) compressor
   };
 
   /// Double-buffered staging area: one slot drains while the other stages.
@@ -246,8 +245,8 @@ class CheckpointManager {
     bool busy = false;
   };
 
-  /// Borrowed view of one variable for the shared serializer. Sync points
-  /// it at the live protected data, async at a staging slot.
+  /// Borrowed view of one variable for the shared serializer. checkpoint()
+  /// points it at the live protected data, the staged drain at a slot.
   struct VarView {
     int id = 0;
     const std::string* name = nullptr;
@@ -260,10 +259,20 @@ class CheckpointManager {
     return e.compressor != nullptr ? e.compressor : default_compressor_;
   }
 
-  /// Serialize one snapshot into the checkpoint stream format. Shared by
-  /// the sync path and the background drain, so the two modes produce
-  /// byte-identical streams for identical variable values.
-  CheckpointRecord build_stream(const std::vector<VarView>& vars, int version,
+  /// The one serialization dispatch (delta, framed or legacy), shared by
+  /// checkpoint() and the staged drain: write `vars` as the *pending* store
+  /// version `version`. `base`/`state`: see build_delta_stream. `slot`, if
+  /// >= 0, is the staging slot `vars` point into; it is released once the
+  /// stream no longer reads it (before the store write) or on a throw.
+  CheckpointRecord write_pending_version(
+      const std::vector<VarView>& vars, int version,
+      const ChunkBaseState* base,
+      std::shared_ptr<const ChunkBaseState>& state, int slot);
+
+  // The encoders below fill the format-specific record fields; the body
+  // above adds the version, raw sizes and blob sizes common to all three.
+  /// Serialize one snapshot into the legacy in-memory stream format.
+  CheckpointRecord build_stream(const std::vector<VarView>& vars,
                                 std::vector<byte_t>& bytes) const;
 
   /// Serialize one snapshot as a framed stream straight into `sink` with
@@ -271,9 +280,9 @@ class CheckpointManager {
   /// rule as the legacy block pipeline, so recovered values are bit-exact
   /// against the legacy serializer for every codec. Calls FrameWriter's
   /// finish() but NOT sink.finish() — sealing the sink is the caller's job
-  /// (the async drain seals only after releasing its staging slot).
+  /// (write_pending_version seals it only after releasing the slot).
   CheckpointRecord build_frame_stream(const std::vector<VarView>& vars,
-                                      int version, ByteSink& sink) const;
+                                      ByteSink& sink) const;
 
   /// Incremental frame-by-frame recovery of a framed stream; `src` is
   /// positioned just past the 4-byte magic recover() peeked for dispatch.
@@ -281,8 +290,7 @@ class CheckpointManager {
 
   /// Serialize one snapshot as a chunked delta stream against `base`
   /// (nullptr ⇒ full chunked checkpoint). Fills `out_state` with the
-  /// hashes a successor delta needs. Same sync/async sharing contract as
-  /// build_stream.
+  /// hashes a successor delta needs.
   CheckpointRecord build_delta_stream(
       const std::vector<VarView>& vars, int version,
       const ChunkBaseState* base, std::vector<byte_t>& bytes,
@@ -319,23 +327,24 @@ class CheckpointManager {
   obs::Sink sink_{};  ///< Observability handles (both null => off).
   bool recovery_pending_ = false;
 
-  // Delta (chunked) checkpointing state. All owner-thread, except
-  // drained_states_, which the background drain fills (guarded by
-  // slot_mu_; the owner reads it only after wait_drain joined the drain).
+  // Delta (chunked) checkpointing state (owner thread only).
   int max_delta_chain_ = 0;
   std::size_t delta_chunk_elems_ = kDefaultChunkElems;
   /// Chunk hashes of the most recent *committed* version — the only
   /// version a new checkpoint may delta against.
   std::shared_ptr<const ChunkBaseState> committed_state_;
-  /// Chunk hashes produced by in-flight drains, keyed by version, awaiting
-  /// commit (guarded by slot_mu_).
-  std::map<int, std::shared_ptr<const ChunkBaseState>> drained_states_;
   /// Committed version → base version (-1 = full); drives the ref-counted
   /// retention that keeps live chain bases alive.
   std::map<int, int> base_of_;
-  /// Staged (uncommitted) version → the base captured at stage time, so
-  /// pruning cannot retire a base an in-flight delta still needs.
-  std::map<int, int> staged_base_;
+  /// A staged (uncommitted) delta version: the base captured at stage time,
+  /// so pruning cannot retire a base its drain still needs, and the cell
+  /// the drain fills with the version's chunk hashes (read only after
+  /// wait_drain() joined the drain).
+  struct StagedDelta {
+    int base = -1;
+    std::shared_ptr<std::shared_ptr<const ChunkBaseState>> state;
+  };
+  std::map<int, StagedDelta> staged_delta_;
 
   // Async pipeline state. The writer thread is created on first stage(), so
   // purely synchronous users never spawn a thread.

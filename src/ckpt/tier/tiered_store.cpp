@@ -165,9 +165,14 @@ void TieredCheckpointStore::commit(int version) {
       weight = it->second;
       pending_bytes_.erase(it);
     }
-    if (obs_.metrics != nullptr)
+    // Same observations as write(): a pending write plus its commit is the
+    // staged form of one L1 write.
+    if (obs_.metrics != nullptr) {
       obs_.metrics->add("tier.writes", 1.0,
                         {{"tier", levels_.front().spec.name}});
+      obs_.metrics->observe("tier.write_bytes", static_cast<double>(weight),
+                            {{"tier", levels_.front().spec.name}});
+    }
     prune_level_locked(0);
   }
   if (auto_promote_) schedule_promotions(version, weight);

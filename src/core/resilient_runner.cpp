@@ -92,6 +92,9 @@ ResilienceConfig validated(ResilienceConfig cfg) {
 ResilientRunner::ResilientRunner(IterativeSolver& solver, ResilienceConfig cfg)
     : solver_(solver),
       cfg_(validated(std::move(cfg))),
+      mode_{cfg_.ckpt_mode == CkptMode::kSync,
+            cfg_.ckpt_mode == CkptMode::kTiered,
+            cfg_.ckpt_mode == CkptMode::kTiered},
       injector_(cfg_.failure.mtti_seconds, cfg_.failure.seed,
                 cfg_.failure.inject) {
   switch (cfg_.scheme) {
@@ -122,33 +125,30 @@ ResilientRunner::ResilientRunner(IterativeSolver& solver, ResilienceConfig cfg)
                   std::tgamma(1.0 + 1.0 / cfg_.failure.weibull_shape);
     injector_.set_weibull(cfg_.failure.weibull_shape, scale);
   }
+  // An externally-owned store stack (e.g. a CheckpointService job handle)
+  // decides tiers, namespaces and shared backends itself. The builtin
+  // tiered stack promotes in virtual time: the runner issues promote_now()
+  // when the simulated background channel finishes a copy, so runs are
+  // bit-stable regardless of host speed.
   std::unique_ptr<CheckpointStore> store;
-  if (cfg_.store_factory) {
-    // Externally-owned store stack (e.g. a CheckpointService job handle):
-    // the caller decides tiers, namespaces and shared backends; the runner
-    // only needs the tiered interface for its virtual promotion channel.
+  if (cfg_.store_factory)
     store = cfg_.store_factory();
-    require(store != nullptr, "runner: store_factory returned null");
-    if (cfg_.ckpt_mode == CkptMode::kTiered) {
-      tiered_ = dynamic_cast<TieredCheckpointStore*>(store.get());
-      require(tiered_ != nullptr,
-              "runner: tiered mode requires store_factory to yield a "
-              "TieredCheckpointStore");
-      injector_.set_severity_weights(cfg_.failure.severity_weights);
-    }
-  } else if (cfg_.ckpt_mode == CkptMode::kTiered) {
-    // Canonical 3-level hierarchy with virtual-time promotion: the runner
-    // itself issues promote_now() when the simulated background channel
-    // finishes a copy, so runs are bit-stable regardless of host speed.
-    auto tiered = make_tiered_store(cfg_.tiered.retention,
-                                    cfg_.tiered.l2_promote_every,
-                                    cfg_.tiered.l3_promote_every, "",
-                                    /*auto_promote=*/false);
-    tiered_ = tiered.get();
-    store = std::move(tiered);
-    injector_.set_severity_weights(cfg_.failure.severity_weights);
-  } else {
+  else if (mode_.promotions)
+    store = make_tiered_store(cfg_.tiered.retention,
+                              cfg_.tiered.l2_promote_every,
+                              cfg_.tiered.l3_promote_every, "",
+                              /*auto_promote=*/false);
+  else
     store = std::make_unique<MemoryStore>();
+  require(store != nullptr, "runner: store_factory returned null");
+  if (mode_.promotions) {
+    // The runner drives the virtual promotion channel through the tiered
+    // interface.
+    tiered_ = dynamic_cast<TieredCheckpointStore*>(store.get());
+    require(tiered_ != nullptr,
+            "runner: tiered mode requires store_factory to yield a "
+            "TieredCheckpointStore");
+    injector_.set_severity_weights(cfg_.failure.severity_weights);
   }
   manager_ = std::make_unique<CheckpointManager>(std::move(store),
                                                  compressor_.get());
@@ -201,23 +201,10 @@ PolicyContext ResilientRunner::make_policy_context() const {
   // replaces them with observed costs as checkpoints commit.
   const double stored = raw;
   ctx.predicted_stored_bytes = stored;
-  const double t_full = cfg_.cluster.write_seconds(stored) +
-                        compress_cost(raw);
-  switch (cfg_.ckpt_mode) {
-    case CkptMode::kSync:
-      ctx.predicted_blocking_seconds = t_full;
-      ctx.predicted_drain_seconds = t_full;
-      break;
-    case CkptMode::kAsync:
-      ctx.predicted_blocking_seconds = cfg_.cluster.stage_seconds(raw);
-      ctx.predicted_drain_seconds = t_full;
-      break;
-    case CkptMode::kTiered:
-      ctx.predicted_blocking_seconds = cfg_.cluster.stage_seconds(raw);
-      ctx.predicted_drain_seconds =
-          cfg_.cluster.local_write_seconds(stored) + compress_cost(raw);
-      break;
-  }
+  ctx.predicted_drain_seconds = drain_seconds(stored, raw);
+  ctx.predicted_blocking_seconds = mode_.blocking
+                                       ? ctx.predicted_drain_seconds
+                                       : cfg_.cluster.stage_seconds(raw);
   ctx.l2_copy_seconds = cfg_.cluster.partner_write_seconds(stored);
   ctx.l3_copy_seconds = cfg_.cluster.write_seconds(stored);
   ctx.tier_lambdas =
@@ -262,30 +249,12 @@ double ResilientRunner::decompress_cost(double raw_bytes) const {
   return 0.0;
 }
 
-double ResilientRunner::checkpoint_duration(
-    const CheckpointRecord& rec) const {
-  const double stored = static_cast<double>(rec.stored_bytes) *
-                        cfg_.dynamic_scale;
-  const double raw = static_cast<double>(rec.raw_bytes) * cfg_.dynamic_scale;
-  return cfg_.cluster.write_seconds(stored) + compress_cost(raw);
-}
-
-double ResilientRunner::drain_duration(const CheckpointRecord& rec) const {
-  if (cfg_.ckpt_mode != CkptMode::kTiered) return checkpoint_duration(rec);
-  // Tiered L1 drain: compression plus a node-local write — the PFS is only
-  // touched later, by the background promotion channel.
-  const double stored = static_cast<double>(rec.stored_bytes) *
-                        cfg_.dynamic_scale;
-  const double raw = static_cast<double>(rec.raw_bytes) * cfg_.dynamic_scale;
-  return cfg_.cluster.local_write_seconds(stored) + compress_cost(raw);
-}
-
-double ResilientRunner::recovery_duration(double stored_bytes,
-                                          double raw_dynamic_bytes) const {
-  // Recovery re-reads the checkpoint plus the static state (A, M, b) and
-  // decompresses the dynamic payload — paper §5.3 (recovery > checkpoint).
-  return cfg_.cluster.read_seconds(stored_bytes + cfg_.static_bytes) +
-         decompress_cost(raw_dynamic_bytes);
+double ResilientRunner::drain_seconds(double stored_bytes,
+                                      double raw_bytes) const {
+  const double write = mode_.drain_to_l1
+                           ? cfg_.cluster.local_write_seconds(stored_bytes)
+                           : cfg_.cluster.write_seconds(stored_bytes);
+  return write + compress_cost(raw_bytes);
 }
 
 void ResilientRunner::refresh_adaptive_bound() {
@@ -311,50 +280,134 @@ void ResilientRunner::capture_solver_state() {
   }
 }
 
-bool ResilientRunner::do_checkpoint() {
+// ----- the checkpoint pipeline ---------------------------------------------
+
+void ResilientRunner::request_checkpoint() {
+  // Promotions whose virtual window has already closed are durable now, so
+  // a failure later this interval can recover from them.
+  if (mode_.promotions) apply_promotions(t_);
+  // Back-pressure (FTI semantics): a new checkpoint may not start while the
+  // previous drain is unfinished.
+  if (!await_drain()) return;
   capture_solver_state();
-  const CheckpointRecord rec = manager_->checkpoint();
-  const double duration = checkpoint_duration(rec);
-
-  if (injector_.interrupts(t_, duration)) {
-    // Failure mid-write: the new version must not be used for recovery.
-    manager_->discard_version(rec.version);
-    t_ = injector_.next_failure_time();
-    handle_failure();
-    return false;
+  if (mode_.blocking) {
+    // Written inline from the live state: no staging copy, no writer thread.
+    // The solver then waits out the whole drain window at once.
+    try {
+      drain_.rec = manager_->checkpoint();
+    } catch (...) {
+      drain_failed();
+      return;
+    }
+    drain_.version = drain_.rec.version;
+    drain_.start_t = t_;
+    if (await_drain()) last_ckpt_t_ = t_;
+    return;
   }
-
-  t_ += duration;
+  const StageTicket ticket = manager_->stage();
+  const double stage = cfg_.cluster.stage_seconds(scaled(ticket.raw_bytes));
+  if (injector_.interrupts(t_, stage)) {
+    // Failure mid-stage: the node-local snapshot is torn, so the version is
+    // rolled back before it could ever become a recovery point.
+    abort_drain(ticket.version);
+    if (trace_ != nullptr)
+      trace_->instant("ckpt", "stage-torn", t_,
+                      {obs::TraceArg::num("version", ticket.version)});
+    handle_failure();
+    return;
+  }
+  drain_.version = ticket.version;
+  charge_blocking(stage, "stage");
   last_ckpt_t_ = t_;
-  account_committed(rec);
-  ++result_.checkpoints;
-  result_.ckpt_seconds_total += duration;
-  committed_blocking_total_ += duration;
+  drain_.start_t = t_;  // the drain overlaps the iterations from here on
+}
+
+void ResilientRunner::charge_blocking(double seconds, const char* kind) {
+  t_ += seconds;
+  result_.ckpt_seconds_total += seconds;
+  drain_.blocking += seconds;
   if (metrics_ != nullptr) {
-    metrics_->add("ckpt.committed", 1.0);
     // Unlabeled series first: it accumulates the exact doubles (same values,
     // same order) as ckpt_seconds_total, so tests can assert bitwise
     // equality; the {kind=...} series is the per-cause breakdown.
-    metrics_->observe("ckpt.blocking_seconds", duration);
-    metrics_->observe("ckpt.blocking_seconds", duration, {{"kind", "sync"}});
-    metrics_->observe("ckpt.stored_bytes", stored_bytes_last_);
+    metrics_->observe("ckpt.blocking_seconds", seconds);
+    metrics_->observe("ckpt.blocking_seconds", seconds, {{"kind", kind}});
   }
-  if (trace_ != nullptr)
-    trace_->complete("ckpt", "checkpoint", t_ - duration, t_,
-                     {obs::TraceArg::num("version", rec.version),
-                      obs::TraceArg::num("stored_bytes", stored_bytes_last_)});
-  result_.mean_ckpt_stored_bytes += (stored_bytes_last_ -
-                                     result_.mean_ckpt_stored_bytes) /
-                                    result_.checkpoints;
-  policy_->on_checkpoint_committed(duration, stored_bytes_last_);
+  if (trace_ != nullptr) {
+    std::vector<obs::TraceArg> args{
+        obs::TraceArg::num("version", drain_.version)};
+    if (mode_.blocking)
+      args.push_back(
+          obs::TraceArg::num("stored_bytes", scaled(drain_.rec.stored_bytes)));
+    trace_->complete("ckpt", mode_.blocking ? "checkpoint" : kind,
+                     t_ - seconds, t_, std::move(args));
+  }
+}
+
+bool ResilientRunner::ensure_drain_record() {
+  if (drain_.known) return true;
+  // Join the background drain in real time (blocking mode already holds its
+  // record). Its *virtual* window opens at start_t and lasts drain_seconds.
+  if (!mode_.blocking) {
+    try {
+      drain_.rec = manager_->wait_drain(drain_.version);
+    } catch (...) {
+      drain_failed();
+      return false;
+    }
+  }
+  drain_.window = drain_seconds(scaled(drain_.rec.stored_bytes),
+                                scaled(drain_.rec.raw_bytes));
+  drain_.end_t = drain_.start_t + drain_.window;
+  drain_.known = true;
   return true;
 }
 
-void ResilientRunner::account_committed(const CheckpointRecord& rec) {
-  stored_bytes_last_ =
-      static_cast<double>(rec.stored_bytes) * cfg_.dynamic_scale;
-  raw_dyn_bytes_last_ =
-      static_cast<double>(rec.raw_bytes) * cfg_.dynamic_scale;
+void ResilientRunner::abort_drain(int version) {
+  if (version >= 0) manager_->abort_version(version);
+  ++result_.aborted_drains;
+  if (metrics_ != nullptr) metrics_->add("ckpt.aborted_drains", 1.0);
+}
+
+void ResilientRunner::drain_failed() {
+  // A codec or store error ends a drain like a torn write: the version is
+  // rolled back (blocking mode's checkpoint() already dropped it) and the
+  // run continues from the previous committed checkpoint.
+  abort_drain(drain_.version);
+  if (trace_ != nullptr)
+    trace_->instant("drain", "drain-error", t_,
+                    {obs::TraceArg::num("version", drain_.version)});
+  drain_ = {};
+}
+
+bool ResilientRunner::await_drain() {
+  if (drain_.version < 0 || !ensure_drain_record()) return true;
+  // Drain work done by now ran overlapped with iterations (none in blocking
+  // mode, whose window opens now); the rest of the window blocks the solver.
+  const double overlapped = std::min(drain_.end_t, t_) - drain_.start_t;
+  if (mode_.blocking || drain_.end_t > t_) {
+    const double wait = mode_.blocking ? drain_.window : drain_.end_t - t_;
+    if (injector_.interrupts(t_, wait)) {
+      handle_failure();  // tears the drain (the failure is before its end)
+      return false;
+    }
+    if (!mode_.blocking) result_.backpressure_seconds_total += wait;
+    charge_blocking(wait, mode_.blocking ? "sync" : "backpressure");
+  }
+  commit_drain(overlapped);
+  return true;
+}
+
+void ResilientRunner::commit_drain(double overlapped_drain_seconds) {
+  // Matured promotions must land before this commit's L1 retention prune
+  // can retire their source copy — otherwise a copy whose virtual window
+  // already closed would silently never happen.
+  if (mode_.promotions) apply_promotions(t_);
+  // Blocking mode's checkpoint() committed inline.
+  if (!mode_.blocking) manager_->commit_version(drain_.version);
+  const CheckpointRecord& rec = drain_.rec;
+  stored_bytes_last_ = scaled(rec.stored_bytes);
+  raw_dyn_bytes_last_ = scaled(rec.raw_bytes);
   // A delta checkpoint's recovery re-reads its chain bases too.
   chain_stored_last_ = rec.base_version >= 0
                            ? chain_stored_last_ + stored_bytes_last_
@@ -379,49 +432,9 @@ void ResilientRunner::account_committed(const CheckpointRecord& rec) {
   if (rec.base_version < 0 && rec.stored_bytes > 0)
     result_.compression_ratio = static_cast<double>(rec.raw_bytes) /
                                 static_cast<double>(rec.stored_bytes);
-}
-
-// ----- async pipeline -------------------------------------------------------
-
-bool ResilientRunner::ensure_drain_record() {
-  if (pending_known_) return true;
-  // Join the background drain (real time); its *virtual* window is
-  // [drain_start_t_, drain_start_t_ + compress+write duration], entirely
-  // overlapped with the iterations the solver kept executing.
-  try {
-    pending_rec_ = manager_->wait_drain(pending_version_);
-  } catch (...) {
-    // The drain itself failed (background compressor or store error). The
-    // outcome is the same as a torn write: roll the version back and keep
-    // running against the previous committed checkpoint.
-    manager_->abort_version(pending_version_);
-    ++result_.aborted_drains;
-    if (metrics_ != nullptr) metrics_->add("ckpt.aborted_drains", 1.0);
-    if (trace_ != nullptr)
-      trace_->instant("drain", "drain-error", t_,
-                      {obs::TraceArg::num("version", pending_version_)});
-    pending_version_ = -1;
-    pending_known_ = false;
-    pending_blocking_ = 0.0;
-    return false;
-  }
-  drain_end_t_ = drain_start_t_ + drain_duration(pending_rec_);
-  pending_known_ = true;
-  return true;
-}
-
-void ResilientRunner::commit_pending(double overlapped_drain_seconds) {
-  if (!ensure_drain_record()) return;  // failed drain already rolled back
-  // Matured promotions must land before this commit's L1 retention prune
-  // can retire their source copy — otherwise a copy whose virtual window
-  // already closed would silently never happen.
-  if (tiered_ != nullptr) apply_promotions(t_);
-  manager_->commit_version(pending_version_);
-  account_committed(pending_rec_);
-  if (tiered_ != nullptr) {
-    version_bytes_[pending_version_] = {stored_bytes_last_,
-                                        raw_dyn_bytes_last_,
-                                        pending_rec_.base_version};
+  if (mode_.promotions) {
+    version_bytes_[drain_.version] = {stored_bytes_last_, raw_dyn_bytes_last_,
+                                      rec.base_version};
     // Only versions still resident in some tier can ever be recovered;
     // drop size entries older than the deepest possible retention window
     // so the map stays O(retention) over arbitrarily long runs. The window
@@ -436,142 +449,63 @@ void ResilientRunner::commit_pending(double overlapped_drain_seconds) {
         cfg_.delta.max_delta_chain + 1;
     version_bytes_.erase(
         version_bytes_.begin(),
-        version_bytes_.lower_bound(pending_version_ - keep_span));
+        version_bytes_.lower_bound(drain_.version - keep_span));
     for (auto& scheduled : scheduled_promos_)
       scheduled.erase(scheduled.begin(),
-                      scheduled.lower_bound(pending_version_ - keep_span));
+                      scheduled.lower_bound(drain_.version - keep_span));
     // The version became durable at L1 when its drain window closed; the
     // background channel starts its L2/L3 hops no earlier than that.
-    schedule_virtual_promotions(pending_version_, stored_bytes_last_,
-                                drain_end_t_);
+    schedule_virtual_promotions(drain_.version, stored_bytes_last_,
+                                drain_.end_t);
   }
   ++result_.checkpoints;
   result_.ckpt_drain_seconds_total += overlapped_drain_seconds;
-  committed_blocking_total_ += pending_blocking_;
+  committed_blocking_total_ += drain_.blocking;
   result_.mean_ckpt_stored_bytes += (stored_bytes_last_ -
                                      result_.mean_ckpt_stored_bytes) /
                                     result_.checkpoints;
-  policy_->on_checkpoint_committed(pending_blocking_, stored_bytes_last_);
+  policy_->on_checkpoint_committed(drain_.blocking, stored_bytes_last_);
   if (metrics_ != nullptr) {
     metrics_->add("ckpt.committed", 1.0);
-    metrics_->observe("ckpt.drain_overlap_seconds", overlapped_drain_seconds);
+    if (!mode_.blocking)
+      metrics_->observe("ckpt.drain_overlap_seconds",
+                        overlapped_drain_seconds);
     metrics_->observe("ckpt.stored_bytes", stored_bytes_last_);
   }
-  if (trace_ != nullptr)
+  if (trace_ != nullptr && !mode_.blocking)
     trace_->complete(
-        "drain", "drain", drain_start_t_, drain_end_t_,
-        {obs::TraceArg::num("version", pending_version_),
+        "drain", "drain", drain_.start_t, drain_.end_t,
+        {obs::TraceArg::num("version", drain_.version),
          obs::TraceArg::num("stored_bytes", stored_bytes_last_),
          obs::TraceArg::num("overlap_seconds", overlapped_drain_seconds)});
-  pending_version_ = -1;
-  pending_known_ = false;
-  pending_blocking_ = 0.0;
+  drain_ = {};
 }
 
-void ResilientRunner::settle_pending_at_failure() {
-  if (pending_version_ < 0) return;
-  if (!ensure_drain_record()) return;  // failed drain already rolled back
-  if (t_ <= drain_end_t_) {
-    // The failure struck while the drain was still writing: the pending
-    // version is torn and recovery must use the previous committed one.
-    manager_->abort_version(pending_version_);
-    ++result_.aborted_drains;
-    if (metrics_ != nullptr) metrics_->add("ckpt.aborted_drains", 1.0);
-    if (trace_ != nullptr)
-      trace_->complete("drain", "drain-aborted", drain_start_t_, t_,
-                       {obs::TraceArg::num("version", pending_version_)});
-    pending_version_ = -1;
-    pending_known_ = false;
-  } else {
-    // The drain had already finished when the failure struck; all of it
-    // ran concurrently with iterations.
-    commit_pending(drain_end_t_ - drain_start_t_);
+void ResilientRunner::settle_drain(bool at_exit) {
+  if (drain_.version < 0 || !ensure_drain_record()) return;
+  if (!at_exit && t_ <= drain_.end_t) {
+    // The failure struck while the drain was still writing: the version is
+    // torn and recovery must use the previous committed one. Blocking
+    // mode's version was committed inline, so it is discarded instead.
+    if (mode_.blocking) {
+      manager_->discard_version(drain_.version);
+    } else {
+      abort_drain(drain_.version);
+      if (trace_ != nullptr)
+        trace_->complete("drain", "drain-aborted", drain_.start_t, t_,
+                         {obs::TraceArg::num("version", drain_.version)});
+    }
+    drain_ = {};
+    return;
   }
-}
-
-void ResilientRunner::finish_pending_at_exit() {
-  if (pending_version_ < 0) return;
-  // The solver converged while the last drain was still in flight. The
-  // application is done; the drain completes harmlessly in the background
-  // (a failure after convergence rolls nothing back), so commit it without
-  // extending the virtual clock. Only the part of the drain that ran
-  // before convergence overlapped iterations; the tail past t_ did not.
-  if (!ensure_drain_record()) return;  // failed drain already rolled back
-  commit_pending(std::min(drain_end_t_, t_) - drain_start_t_);
+  // The drain finished before the failure, or the solver converged while it
+  // was in flight — then it completes harmlessly in the background (a
+  // failure after convergence rolls nothing back) without extending the
+  // clock. Only the part that ran before t_ overlapped iterations.
+  commit_drain(std::min(drain_.end_t, t_) - drain_.start_t);
   // Promotions that virtually completed before the run ended are counted;
   // the rest would finish harmlessly after the application exits.
-  if (tiered_ != nullptr) apply_promotions(t_);
-}
-
-bool ResilientRunner::do_stage() {
-  // Promotions whose virtual window has already closed are durable now, so
-  // a failure later this interval can recover from them.
-  if (tiered_ != nullptr) apply_promotions(t_);
-  // Back-pressure (FTI semantics): a new checkpoint may not stage while the
-  // previous drain is unfinished — the wait blocks the virtual clock.
-  if (pending_version_ >= 0 && ensure_drain_record()) {
-    // The drain work done up to this request ran overlapped; any remainder
-    // is back-pressure the solver pays for as blocking time.
-    const double overlapped =
-        std::min(drain_end_t_, t_) - drain_start_t_;
-    if (drain_end_t_ > t_) {
-      const double wait = drain_end_t_ - t_;
-      if (injector_.interrupts(t_, wait)) {
-        t_ = injector_.next_failure_time();
-        handle_failure();  // aborts the pending drain (t_ <= drain end)
-        return false;
-      }
-      t_ += wait;
-      result_.ckpt_seconds_total += wait;
-      result_.backpressure_seconds_total += wait;
-      pending_blocking_ += wait;  // charged to the drain being waited on
-      if (metrics_ != nullptr) {
-        metrics_->observe("ckpt.blocking_seconds", wait);
-        metrics_->observe("ckpt.blocking_seconds", wait,
-                          {{"kind", "backpressure"}});
-      }
-      if (trace_ != nullptr)
-        trace_->complete("ckpt", "backpressure", t_ - wait, t_,
-                         {obs::TraceArg::num("version", pending_version_)});
-    }
-    commit_pending(overlapped);
-  }
-
-  capture_solver_state();
-  const StageTicket ticket = manager_->stage();
-  const double stage_duration = cfg_.cluster.stage_seconds(
-      static_cast<double>(ticket.raw_bytes) * cfg_.dynamic_scale);
-
-  if (injector_.interrupts(t_, stage_duration)) {
-    // Failure mid-stage: the node-local snapshot is torn, so the version is
-    // rolled back before it could ever become a recovery point.
-    manager_->abort_version(ticket.version);
-    ++result_.aborted_drains;
-    if (metrics_ != nullptr) metrics_->add("ckpt.aborted_drains", 1.0);
-    if (trace_ != nullptr)
-      trace_->instant("ckpt", "stage-torn", t_,
-                      {obs::TraceArg::num("version", ticket.version)});
-    t_ = injector_.next_failure_time();
-    handle_failure();
-    return false;
-  }
-
-  t_ += stage_duration;
-  last_ckpt_t_ = t_;
-  result_.ckpt_seconds_total += stage_duration;
-  if (metrics_ != nullptr) {
-    metrics_->observe("ckpt.blocking_seconds", stage_duration);
-    metrics_->observe("ckpt.blocking_seconds", stage_duration,
-                      {{"kind", "stage"}});
-  }
-  if (trace_ != nullptr)
-    trace_->complete("ckpt", "stage", t_ - stage_duration, t_,
-                     {obs::TraceArg::num("version", ticket.version)});
-  pending_version_ = ticket.version;
-  pending_known_ = false;
-  pending_blocking_ = stage_duration;
-  drain_start_t_ = t_;
-  return true;
+  if (at_exit && mode_.promotions) apply_promotions(t_);
 }
 
 // ----- tiered promotion channel ---------------------------------------------
@@ -649,8 +583,8 @@ double ResilientRunner::tiered_recovery_duration(int version, int level,
   const bool read_static = worst >= FailureSeverity::kNode;
   // L1/L2 reads ride node-local/interconnect channels, so their static
   // re-read is a separate PFS operation with its own latency; an L3
-  // recovery reads checkpoint + static state in one PFS pass, matching
-  // recovery_duration()'s single-level accounting (no double latency).
+  // recovery reads checkpoint + static state in one PFS pass, matching the
+  // single-level accounting in handle_failure() (no double latency).
   // A delta version additionally re-reads its chain bases, each from the
   // cheapest tier still holding it and at its own stored size.
   double seconds = 0.0;
@@ -716,8 +650,9 @@ void ResilientRunner::note_failure(FailureSeverity sev) {
 }
 
 void ResilientRunner::handle_failure() {
+  t_ = injector_.next_failure_time();
   FailureSeverity worst = injector_.severity();
-  settle_pending_at_failure();
+  settle_drain(/*at_exit=*/false);
   note_failure(worst);
   injector_.arm(t_);
 
@@ -736,11 +671,13 @@ void ResilientRunner::handle_failure() {
         duration = cfg_.cluster.read_seconds(cfg_.static_bytes);
       }
     } else {
+      // Re-read the checkpoint (with its chain bases) plus the static state
+      // (A, M, b) and decompress the dynamic payload — paper §5.3.
       have_ckpt = manager_->has_checkpoint();
-      duration =
-          have_ckpt
-              ? recovery_duration(chain_stored_last_, raw_dyn_bytes_last_)
-              : cfg_.cluster.read_seconds(cfg_.static_bytes);
+      duration = have_ckpt ? cfg_.cluster.read_seconds(chain_stored_last_ +
+                                                       cfg_.static_bytes) +
+                                 decompress_cost(raw_dyn_bytes_last_)
+                           : cfg_.cluster.read_seconds(cfg_.static_bytes);
     }
     if (injector_.interrupts(t_, duration)) {
       t_ = injector_.next_failure_time();
@@ -793,13 +730,12 @@ void ResilientRunner::handle_failure() {
     }
     break;
   }
-  if (tiered_ != nullptr) promo_tail_t_ = std::max(promo_tail_t_, t_);
+  if (mode_.promotions) promo_tail_t_ = std::max(promo_tail_t_, t_);
   last_ckpt_t_ = t_;  // checkpoint timer restarts after recovery
   policy_->on_recovery(t_);
 }
 
 ResilienceResult ResilientRunner::run() {
-  const bool staged = cfg_.ckpt_mode != CkptMode::kSync;
   // Sampling basis for the solver.vector_passes counter: the pass counter
   // is process-global, so per-step deltas (not absolute values) are what
   // belongs to this run.
@@ -807,7 +743,6 @@ ResilienceResult ResilientRunner::run() {
   while (!solver_.converged() && result_.executed_steps < cfg_.max_steps) {
     // Failure strictly inside the next iteration's window?
     if (injector_.interrupts(t_, cfg_.iteration_seconds)) {
-      t_ = injector_.next_failure_time();
       handle_failure();
       continue;
     }
@@ -826,14 +761,10 @@ ResilienceResult ResilientRunner::run() {
     }
     policy_->on_iteration(t_);
 
-    if (!solver_.converged() && policy_->should_checkpoint(t_, last_ckpt_t_)) {
-      if (staged)
-        do_stage();
-      else
-        do_checkpoint();
-    }
+    if (!solver_.converged() && policy_->should_checkpoint(t_, last_ckpt_t_))
+      request_checkpoint();
   }
-  finish_pending_at_exit();
+  settle_drain(/*at_exit=*/true);
 
   result_.policy_interval_final = policy_->current_interval();
   result_.interval_adjustments = policy_->interval_adjustments();

@@ -10,23 +10,22 @@
 /// calibrated ClusterModel, so cluster-scale results (paper §5.4) are
 /// reproducible on one node. See DESIGN.md §5 for the rationale.
 ///
-/// Checkpoint modes (ResilienceConfig::ckpt_mode):
-///  - CkptMode::kSync — the paper's setting: the solver stops for the full
-///    compress + PFS-write duration of every checkpoint.
-///  - CkptMode::kAsync — staged pipeline: only the node-local staging copy
-///    blocks the virtual clock; the drain (compression + PFS write) overlaps
-///    subsequent iterations. A failure inside the drain window aborts the
-///    pending version and recovery falls back to the previous *committed*
-///    checkpoint; a checkpoint request while the previous drain is still in
-///    flight back-pressures until it commits.
-///  - CkptMode::kTiered — multi-level hierarchy (FTI/VeloC style): the
-///    staged drain lands in a node-local L1 tier (cheap), and committed
-///    versions are promoted L1→L2(partner)→L3(PFS) on a virtual background
-///    channel that never blocks the solver. Failures carry a severity
-///    (process/node/partition/system, sampled per ResilienceConfig
-///    weights); a severity-k failure destroys the tiers that do not survive
-///    it and recovery reads the cheapest surviving tier, paying that tier's
-///    read cost (plus a static-state re-read for node-or-worse failures).
+/// Every checkpoint runs one pipeline: request → write → drain window →
+/// commit. A request first settles the drain still in flight (waiting out
+/// the rest of its window is back-pressure), then writes and opens a drain
+/// window priced as compression plus the write. A failure inside the window
+/// tears the version and recovery falls back to the previous commit. The
+/// checkpoint mode (ResilienceConfig::ckpt_mode) only sets parameters:
+///  - CkptMode::kSync — the paper's setting and the blocking case: the write
+///    runs inline and the solver waits out the whole PFS drain at once.
+///  - CkptMode::kAsync — staged: only the node-local staging copy blocks
+///    the virtual clock; the drain overlaps subsequent iterations.
+///  - CkptMode::kTiered — staged into a node-local L1 tier (a cheap drain);
+///    committed versions are promoted L1→L2(partner)→L3(PFS) on a virtual
+///    background channel. Failures carry a severity (sampled per
+///    FailureConfig weights); a severity-k failure destroys the tiers that
+///    do not survive it and recovery reads the cheapest surviving tier,
+///    plus the static state for node-or-worse failures.
 
 #include <array>
 #include <deque>
@@ -191,21 +190,23 @@ struct ResilienceResult {
   int failures = 0;
   int checkpoints = 0;
   int recoveries = 0;
-  /// Async only: staged versions rolled back because a failure struck
-  /// before their drain committed.
+  /// Versions rolled back before they committed: staged versions torn by a
+  /// failure during their stage or drain (async and tiered), plus drains in
+  /// any mode whose codec or store threw. A sync write torn by a failure is
+  /// discarded, not counted here.
   int aborted_drains = 0;
 
   /// Virtual seconds the solver was *blocked* by checkpointing: the full
   /// compress+write in sync mode; staging copies plus back-pressure waits
-  /// in async mode.
+  /// in async and tiered mode.
   double ckpt_seconds_total = 0.0;
-  /// Async only: drain seconds (compression + PFS write) that actually ran
-  /// overlapped with iterations — off the critical path, not part of
-  /// virtual_seconds. The back-pressured tail of a drain counts toward
+  /// Async and tiered: drain seconds (compression plus the PFS or L1 write)
+  /// that ran overlapped with iterations — off the critical path, not part
+  /// of virtual_seconds. The back-pressured tail of a drain counts toward
   /// ckpt_seconds_total/backpressure_seconds_total instead, never here.
   double ckpt_drain_seconds_total = 0.0;
-  /// Async only: portion of ckpt_seconds_total spent stalled because a new
-  /// checkpoint was requested while the previous drain was still in flight.
+  /// Async and tiered: portion of ckpt_seconds_total spent stalled because
+  /// a new checkpoint was requested while the previous drain was in flight.
   double backpressure_seconds_total = 0.0;
   double recovery_seconds_total = 0.0;
   /// Mean blocking seconds per *committed* checkpoint (excludes the staging
@@ -287,16 +288,18 @@ class ResilientRunner {
   /// Model predictions and failure rates the pacing policy is built from.
   [[nodiscard]] PolicyContext make_policy_context() const;
   /// Scheme-dependent virtual cost of (de)compressing `raw_bytes` of
-  /// dynamic state (zero for the traditional scheme). Shared by every
-  /// checkpoint/drain/recovery duration below.
+  /// dynamic state (zero for the traditional scheme).
   [[nodiscard]] double compress_cost(double raw_bytes) const;
   [[nodiscard]] double decompress_cost(double raw_bytes) const;
-  [[nodiscard]] double checkpoint_duration(const CheckpointRecord& rec) const;
-  /// Virtual seconds of the background drain window: compression + PFS
-  /// write (kAsync) or compression + node-local L1 write (kTiered).
-  [[nodiscard]] double drain_duration(const CheckpointRecord& rec) const;
-  [[nodiscard]] double recovery_duration(double stored_bytes,
-                                         double raw_dynamic_bytes) const;
+  /// Virtual seconds of one drain window: compression plus the write on the
+  /// mode's drain channel (PFS, or node-local L1 in tiered mode). Prices
+  /// both the runner's clock and the policy's predicted drain.
+  [[nodiscard]] double drain_seconds(double stored_bytes,
+                                     double raw_bytes) const;
+  /// Cluster-scale size of `bytes` real bytes of dynamic state.
+  [[nodiscard]] double scaled(std::size_t bytes) const {
+    return static_cast<double>(bytes) * cfg_.dynamic_scale;
+  }
   /// Tiered recovery cost from hierarchy level `level`; `worst` is the
   /// highest severity seen since the last successful recovery (node or
   /// worse adds the static-state PFS re-read).
@@ -304,22 +307,28 @@ class ResilientRunner {
                                                 FailureSeverity worst) const;
   void refresh_adaptive_bound();
   void capture_solver_state();  ///< Copy x / scalars into protected buffers.
-  bool do_checkpoint();   ///< Sync path. Returns false if a failure hit it.
-  bool do_stage();        ///< Async path. Returns false if a failure hit it.
-  /// Join the drain and fix its virtual window. Returns false if the drain
-  /// itself failed (background compressor/store error): the pending version
-  /// is then aborted like a torn write and the caller must not commit it.
+
+  // The checkpoint pipeline: request → write → drain window → commit. Each
+  // step that can meet a failure returns false once it has handled it.
+  /// Settle the drain in flight, then write inline (blocking mode, waiting
+  /// out the window at once) or stage on the clock, opening drain_ at t_.
+  void request_checkpoint();
+  /// Solver blocking time (kind = sync|stage|backpressure) for drain_.
+  void charge_blocking(double seconds, const char* kind);
+  /// Join drain_ and fix its virtual window; false if the drain threw.
   [[nodiscard]] bool ensure_drain_record();
-  /// Promote the drained version; `overlapped_drain_seconds` is the part of
-  /// its drain window that ran concurrently with iterations (the rest, if
-  /// any, was back-pressure and is charged as blocking time by the caller).
-  void commit_pending(double overlapped_drain_seconds);
-  /// Shared commit accounting for the sync and staged paths: cluster-scale
-  /// last-committed sizes, the chain-total recovery bytes, and the delta
-  /// counters.
-  void account_committed(const CheckpointRecord& rec);
-  void settle_pending_at_failure();  ///< Commit or abort at failure time t_.
-  void finish_pending_at_exit();     ///< Commit the tail drain on run end.
+  /// Roll back `version` (if any) and count it as an aborted drain.
+  void abort_drain(int version);
+  void drain_failed();  ///< drain_'s codec or store threw: roll it back.
+  /// Block for the rest of drain_'s window, then commit it.
+  [[nodiscard]] bool await_drain();
+  /// Commit drain_ and account for it; `overlapped_drain_seconds` is the
+  /// part of its window that ran concurrently with iterations.
+  void commit_drain(double overlapped_drain_seconds);
+  /// Settle drain_ at t_ without blocking: a closed window commits; an open
+  /// one is torn by the failure, or — `at_exit` — finishes after the run.
+  void settle_drain(bool at_exit);
+  /// Jump the clock to the armed failure, settle the drain and recover.
   void handle_failure();
   /// Count a failure with severity `sev`; in tiered mode also applies
   /// matured promotions, drops in-flight promotion work and invalidates
@@ -334,6 +343,13 @@ class ResilientRunner {
 
   IterativeSolver& solver_;
   ResilienceConfig cfg_;
+  /// Per-mode facts of the checkpoint pipeline, derived from ckpt_mode.
+  struct PipelineMode {
+    bool blocking;     ///< sync: windows are waited out at once, no staging
+    bool drain_to_l1;  ///< tiered: drains write node-local L1, not the PFS
+    bool promotions;   ///< tiered: commits feed the L2/L3 promotion channel
+  };
+  const PipelineMode mode_;
   std::unique_ptr<CheckpointPolicy> policy_;
   // Allocated only when cfg_.obs enables them; sink_ carries the borrowed
   // pointers down the checkpoint stack.
@@ -359,14 +375,18 @@ class ResilientRunner {
   /// size when delta encoding is off).
   double chain_stored_last_ = 0.0;
 
-  // Async pipeline: the drain in flight, if any.
-  int pending_version_ = -1;
-  bool pending_known_ = false;       // drain joined, record + window fixed
-  double drain_start_t_ = 0.0;
-  double drain_end_t_ = 0.0;
-  double pending_blocking_ = 0.0;    // blocking seconds of the pending ckpt
+  /// The drain in flight (version < 0: none).
+  struct Drain {
+    int version = -1;
+    bool known = false;     ///< record joined, window fixed
+    double start_t = 0.0;   ///< virtual window [start_t, end_t]
+    double window = 0.0;
+    double end_t = 0.0;
+    double blocking = 0.0;  ///< solver blocking time charged to it
+    CheckpointRecord rec{};
+  };
+  Drain drain_;
   double committed_blocking_total_ = 0.0;  // numerator of mean_ckpt_seconds
-  CheckpointRecord pending_rec_{};
 
   // Tiered hierarchy: borrowed from manager_'s store (manager owns it).
   TieredCheckpointStore* tiered_ = nullptr;
