@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 
+#include "ckpt/tier/partner_store.hpp"
+#include "ckpt/tier/tiered_store.hpp"
 #include "core/experiment.hpp"
 #include "core/resilient_runner.hpp"
 
@@ -245,6 +248,88 @@ TEST(Runner, DeterministicForFixedSeed) {
   EXPECT_EQ(r1.executed_steps, r2.executed_steps);
   EXPECT_DOUBLE_EQ(r1.virtual_seconds, r2.virtual_seconds);
 }
+
+/// Store whose `fail_at`-th write (write() or write_pending(), counted
+/// together) throws, as a full disk would. Every other call reaches an
+/// in-memory store. The counter is atomic: staged drains write from the
+/// writer thread.
+class FailingWriteStore final : public CheckpointStore {
+ public:
+  explicit FailingWriteStore(int fail_at) : fail_at_(fail_at) {}
+  void write(int v, std::span<const byte_t> d) override {
+    count_write();
+    inner_.write(v, d);
+  }
+  void write_pending(int v, std::span<const byte_t> d) override {
+    count_write();
+    inner_.write_pending(v, d);
+  }
+  void commit(int v) override { inner_.commit(v); }
+  void abort(int v) override { inner_.abort(v); }
+  [[nodiscard]] bool has_pending(int v) const override {
+    return inner_.has_pending(v);
+  }
+  [[nodiscard]] std::vector<byte_t> read(int v) const override {
+    return inner_.read(v);
+  }
+  [[nodiscard]] bool exists(int v) const override { return inner_.exists(v); }
+  void remove(int v) override { inner_.remove(v); }
+  [[nodiscard]] int latest_version() const override {
+    return inner_.latest_version();
+  }
+
+ private:
+  void count_write() {
+    if (++writes_ == fail_at_)
+      throw corrupt_stream_error("failing store: injected write error");
+  }
+  MemoryStore inner_;
+  const int fail_at_;
+  std::atomic<int> writes_{0};
+};
+
+class RunnerWriteError : public ::testing::TestWithParam<CkptMode> {};
+
+/// A store error during a checkpoint write is rolled back and counted the
+/// same way in every mode: the run keeps going from the previous committed
+/// checkpoint instead of the error escaping run().
+TEST_P(RunnerWriteError, RollsBackTheWriteAndConverges) {
+  const CkptMode mode = GetParam();
+  const LocalProblem p = make_local_problem("cg", 8, 1e-8);
+  auto solver = p.make_solver();
+  ResilienceConfig cfg = base_config(CkptScheme::kLossy);
+  cfg.ckpt_mode = mode;
+  cfg.store_factory = [mode]() -> std::unique_ptr<CheckpointStore> {
+    auto failing = std::make_unique<FailingWriteStore>(/*fail_at=*/2);
+    if (mode != CkptMode::kTiered) return failing;
+    // The error strikes the node-local L1 tier the drain writes into.
+    std::vector<TieredCheckpointStore::Level> levels;
+    levels.push_back({TierSpec{"L1", FailureSeverity::kProcess, 2, 1},
+                      std::move(failing)});
+    levels.push_back({TierSpec{"L2", FailureSeverity::kNode, 2, 1},
+                      std::make_unique<PartnerStore>()});
+    levels.push_back({TierSpec{"L3", FailureSeverity::kSystem, 2, 2},
+                      std::make_unique<MemoryStore>()});
+    return std::make_unique<TieredCheckpointStore>(std::move(levels),
+                                                   /*auto_promote=*/false);
+  };
+  ResilientRunner runner(*solver, cfg);
+  ResilienceResult res;
+  ASSERT_NO_THROW(res = runner.run());
+
+  EXPECT_TRUE(res.converged);
+  EXPECT_GT(res.failures, 0);
+  EXPECT_GT(res.checkpoints, 1);
+  EXPECT_EQ(res.aborted_drains, 1);
+  EXPECT_LT(true_rel_residual(p.a, p.b, solver->solution()), 1e-6);
+}
+
+INSTANTIATE_TEST_SUITE_P(Modes, RunnerWriteError,
+                         ::testing::Values(CkptMode::kSync, CkptMode::kAsync,
+                                           CkptMode::kTiered),
+                         [](const auto& info) {
+                           return std::string(to_string(info.param));
+                         });
 
 }  // namespace
 }  // namespace lck
