@@ -37,6 +37,7 @@
 #include "sparse/gen/poisson3d.hpp"
 #include "sparse/gen/random_spd.hpp"
 #include "sparse/vector_ops.hpp"
+#include "support/reference_spmv.hpp"
 
 namespace {
 
@@ -209,13 +210,14 @@ int main(int argc, char** argv) {
     Vector y(static_cast<std::size_t>(a.rows()), 0.0);
     Pair spmv{"spmv_blocked", 0, 0, false};
     spmv.cpu_fused = time_cpu([&] { a.multiply(x, y); }, reps, trials);
-    spmv.cpu_unfused = time_cpu([&] { a.multiply_rowwise(x, y); }, reps, trials);
+    spmv.cpu_unfused =
+        time_cpu([&] { multiply_rowwise(a, x, y); }, reps, trials);
     pairs.push_back(spmv);
 
     Pair res{"residual_blocked", 0, 0, false};
     res.cpu_fused = time_cpu([&] { a.residual(b, x, y); }, reps, trials);
     res.cpu_unfused =
-        time_cpu([&] { a.residual_rowwise(b, x, y); }, reps, trials);
+        time_cpu([&] { residual_rowwise(a, b, x, y); }, reps, trials);
     pairs.push_back(res);
   }
 

@@ -8,6 +8,7 @@
 #include "solvers/factory.hpp"
 #include "sparse/gen/poisson3d.hpp"
 #include "sparse/vector_ops.hpp"
+#include "support/reference_spmv.hpp"
 
 #if defined(_OPENMP)
 #include <omp.h>
@@ -34,7 +35,7 @@ void bm_spmv_rowwise(benchmark::State& state) {
   const auto a = lck::poisson3d_spd(n);
   lck::Vector x(a.rows(), 1.0), y(a.rows());
   for (auto _ : state) {
-    a.multiply_rowwise(x, y);
+    lck::multiply_rowwise(a, x, y);
     benchmark::DoNotOptimize(y.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

@@ -10,9 +10,7 @@
 /// identical to the ad-hoc counter it replaces. The registry integration
 /// happens one layer up: ResilientRunner samples this counter around the
 /// solver loop and feeds the per-run delta into its registry as the
-/// `solver.vector_passes` counter, and the legacy `vector_pass_count()` /
-/// `reset_vector_pass_count()` functions in sparse/vector_ops.hpp are thin
-/// shims over these, so existing tests keep working unchanged.
+/// `solver.vector_passes` counter. Tests read and reset it directly.
 
 #include <atomic>
 #include <cstdint>

@@ -51,30 +51,6 @@ double CsrMatrix::residual_norm2(std::span<const double> b,
                                            y.data(), rows_));
 }
 
-void CsrMatrix::multiply_rowwise(std::span<const double> x,
-                                 std::span<double> y) const {
-  require(static_cast<index_t>(x.size()) == cols_, "spmv: x size mismatch");
-  require(static_cast<index_t>(y.size()) == rows_, "spmv: y size mismatch");
-  parallel_for(0, rows_, [&](index_t r) {
-    const index_t k0 = row_ptr_[r];
-    y[r] = spmv::row_dot_scalar(col_idx_.data() + k0, values_.data() + k0,
-                                row_ptr_[r + 1] - k0, x.data());
-  });
-}
-
-void CsrMatrix::residual_rowwise(std::span<const double> b,
-                                 std::span<const double> x,
-                                 std::span<double> y) const {
-  require(static_cast<index_t>(b.size()) == rows_, "residual: b size mismatch");
-  require(static_cast<index_t>(x.size()) == cols_, "residual: x size mismatch");
-  parallel_for(0, rows_, [&](index_t r) {
-    const index_t k0 = row_ptr_[r];
-    y[r] = b[r] - spmv::row_dot_scalar(col_idx_.data() + k0,
-                                       values_.data() + k0,
-                                       row_ptr_[r + 1] - k0, x.data());
-  });
-}
-
 void CsrMatrix::validate() const {
   require(rows_ >= 0 && cols_ >= 0, "csr: negative dimensions");
   require(static_cast<index_t>(row_ptr_.size()) == rows_ + 1,

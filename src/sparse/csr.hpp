@@ -26,8 +26,8 @@ namespace lck {
 /// of one-per-task. Per-row dots follow the lane-canonical row contract
 /// (sparse/spmv_simd.hpp): serial association below simd::kSimdRowMinNnz
 /// nonzeros, 8-lane canonical (gather kernels) above it — fixed per row
-/// length, so blocked SpMV is bit-identical to the plain row loop
-/// (multiply_rowwise) and across every dispatched ISA.
+/// length, so blocked SpMV is bit-identical to the plain row loop (the
+/// reference in tests/support/reference_spmv.hpp) and across every ISA.
 class CsrMatrix {
  public:
   /// Target nonzeros per SpMV block (~48 KiB of col+val per block).
@@ -63,11 +63,11 @@ class CsrMatrix {
   /// dispatched to the active SIMD backend (gather kernels for rows with
   /// ≥ simd::kSimdRowMinNnz nonzeros, serial sums below). The row contract
   /// fixes the association per row length, so the result is bit-identical
-  /// to multiply_rowwise() and across every ISA.
+  /// to the plain row loop and across every ISA.
   void multiply(std::span<const double> x, std::span<double> y) const;
 
   /// y := b − A·x (fused residual kernel; paper Algorithm 1 line 8).
-  /// Blocked like multiply(); bit-identical to residual_rowwise().
+  /// Blocked like multiply(); bit-identical to the plain row loop.
   void residual(std::span<const double> b, std::span<const double> x,
                 std::span<double> y) const;
 
@@ -79,15 +79,6 @@ class CsrMatrix {
   [[nodiscard]] double residual_norm2(std::span<const double> b,
                                       std::span<const double> x,
                                       std::span<double> y) const;
-
-  /// Plain one-row-per-task reference SpMV pinned to the *scalar* backend.
-  /// Kept for tests and benches that pin blocked == rowwise bit-for-bit —
-  /// which, with dispatch live, doubles as a cross-ISA parity check.
-  void multiply_rowwise(std::span<const double> x, std::span<double> y) const;
-
-  /// Plain reference residual, pairing multiply_rowwise().
-  void residual_rowwise(std::span<const double> b, std::span<const double> x,
-                        std::span<double> y) const;
 
   /// Number of blocks in the SpMV row plan (for tests/benches).
   [[nodiscard]] index_t spmv_blocks() const noexcept {

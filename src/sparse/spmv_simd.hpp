@@ -45,7 +45,8 @@ void residual_blocked(const index_t* row_ptr, const index_t* col_idx,
                                        index_t rows);
 
 /// One row's dot with the scalar backend (the rowwise reference kernels in
-/// CsrMatrix use it, so reference == dispatched is a real cross-ISA check).
+/// tests/support use it, so reference == dispatched is a real cross-ISA
+/// check).
 [[nodiscard]] double row_dot_scalar(const index_t* col, const double* val,
                                     index_t len, const double* x);
 

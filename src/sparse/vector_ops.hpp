@@ -54,14 +54,6 @@ inline void count_passes(std::uint64_t n) noexcept {
 
 }  // namespace detail
 
-/// Total full-vector passes performed by vector_ops kernels so far.
-/// (Shim over obs::vector_passes(), kept for existing callers/tests.)
-[[nodiscard]] inline std::uint64_t vector_pass_count() noexcept {
-  return obs::vector_passes();
-}
-
-inline void reset_vector_pass_count() noexcept { obs::reset_vector_passes(); }
-
 namespace detail {
 
 /// Elements per reduction block. Small inputs (the local test problems)

@@ -15,6 +15,7 @@
 #include "common/rng.hpp"
 #include "compress/compressor.hpp"
 #include "compress/huffman.hpp"
+#include "obs/pass_counter.hpp"
 #include "solvers/bicgstab.hpp"
 #include "solvers/cg.hpp"
 #include "solvers/minres.hpp"
@@ -22,6 +23,7 @@
 #include "sparse/gen/poisson3d.hpp"
 #include "sparse/gen/random_spd.hpp"
 #include "sparse/vector_ops.hpp"
+#include "support/reference_spmv.hpp"
 
 #if defined(_OPENMP)
 #include <omp.h>
@@ -248,13 +250,13 @@ void expect_blocked_matches_rowwise(const CsrMatrix& a, std::uint64_t seed) {
     Vector y_blk(static_cast<std::size_t>(a.rows()), 0.0);
     Vector y_row(static_cast<std::size_t>(a.rows()), 0.0);
     a.multiply(x, y_blk);
-    a.multiply_rowwise(x, y_row);
+    multiply_rowwise(a, x, y_row);
     expect_bitwise_eq(y_blk, y_row, "multiply");
 
     Vector r_blk(static_cast<std::size_t>(a.rows()), 0.0);
     Vector r_row(static_cast<std::size_t>(a.rows()), 0.0);
     a.residual(b, x, r_blk);
-    a.residual_rowwise(b, x, r_row);
+    residual_rowwise(a, b, x, r_row);
     expect_bitwise_eq(r_blk, r_row, "residual");
     EXPECT_GT(threads, 0);
   });
@@ -390,12 +392,12 @@ TEST(SolverTrajectories, CgIdentityBitwiseAndPassReduction) {
 
   std::uint64_t fused_passes = 0, naive_passes = 0;
   for (int it = 0; it < 40; ++it) {
-    reset_vector_pass_count();
+    obs::reset_vector_passes();
     solver.step();
-    fused_passes += vector_pass_count();
-    reset_vector_pass_count();
+    fused_passes += obs::vector_passes();
+    obs::reset_vector_passes();
     naive.step();
-    naive_passes += vector_pass_count();
+    naive_passes += obs::vector_passes();
     EXPECT_EQ(solver.residual_norm(), naive.res_norm) << "iter " << it;
     expect_bitwise_eq(solver.solution(), naive.x, "cg x");
   }
@@ -490,12 +492,12 @@ TEST(SolverTrajectories, BicgstabIdentityBitwiseAndPassReduction) {
 
   std::uint64_t fused_passes = 0, naive_passes = 0;
   for (int it = 0; it < 30; ++it) {
-    reset_vector_pass_count();
+    obs::reset_vector_passes();
     solver.step();
-    fused_passes += vector_pass_count();
-    reset_vector_pass_count();
+    fused_passes += obs::vector_passes();
+    obs::reset_vector_passes();
     naive.step();
-    naive_passes += vector_pass_count();
+    naive_passes += obs::vector_passes();
     EXPECT_EQ(solver.residual_norm(), naive.res_norm) << "iter " << it;
     expect_bitwise_eq(solver.solution(), naive.x, "bicgstab x");
   }

@@ -156,16 +156,13 @@ TEST(ScopedTimer, NullRegistryIsANoOp) {
   EXPECT_GE(t.seconds(), 0.0);  // must not crash in ctor, seconds() or dtor
 }
 
-TEST(PassCounter, VectorOpsShimsStillWork) {
-  reset_vector_pass_count();
-  EXPECT_EQ(vector_pass_count(), 0u);
+TEST(PassCounter, VectorOpsCountIntoTheObsCounter) {
+  obs::reset_vector_passes();
+  EXPECT_EQ(obs::vector_passes(), 0u);
   const Vector x(1000, 1.0), y(1000, 2.0);
   (void)dot(x, y);
-  const std::uint64_t after_dot = vector_pass_count();
-  EXPECT_GT(after_dot, 0u);
-  // The legacy shims and the obs counter are the same counter.
-  EXPECT_EQ(after_dot, obs::vector_passes());
-  reset_vector_pass_count();
+  EXPECT_GT(obs::vector_passes(), 0u);
+  obs::reset_vector_passes();
   EXPECT_EQ(obs::vector_passes(), 0u);
 }
 

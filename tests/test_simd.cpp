@@ -22,6 +22,7 @@
 #include "sparse/csr.hpp"
 #include "sparse/gen/random_spd.hpp"
 #include "sparse/vector_ops.hpp"
+#include "support/reference_spmv.hpp"
 
 #if defined(_OPENMP)
 #include <omp.h>
@@ -321,7 +322,7 @@ TEST(RowKernels, AdversarialShapesMatchRowwiseAcrossIsas) {
   const Vector x = random_vector(static_cast<std::size_t>(a.cols()), 41);
   const Vector b = random_vector(static_cast<std::size_t>(a.rows()), 42);
   Vector ref(static_cast<std::size_t>(a.rows()));
-  a.multiply_rowwise(x, ref);  // pinned to the scalar backend
+  multiply_rowwise(a, x, ref);  // pinned to the scalar backend
   for (const simd::Isa isa : runnable_isas()) {
     simd::force_isa(isa);
     Vector y(static_cast<std::size_t>(a.rows()), -1.0);
@@ -344,7 +345,7 @@ TEST(RowKernels, WideRowMatrixGatherPathMatchesRowwiseAcrossIsas) {
   const Vector x = random_vector(static_cast<std::size_t>(a.cols()), 51);
   const Vector b = random_vector(static_cast<std::size_t>(a.rows()), 52);
   Vector ref(static_cast<std::size_t>(a.rows()));
-  a.multiply_rowwise(x, ref);
+  multiply_rowwise(a, x, ref);
   for (const simd::Isa isa : runnable_isas()) {
     simd::force_isa(isa);
     Vector y(ref.size());
