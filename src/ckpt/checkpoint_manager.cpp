@@ -433,14 +433,6 @@ CheckpointRecord CheckpointManager::write_pending_version(
     if (slot >= 0) release_slot(slot);
     throw;
   }
-  // The stream owns the data now; free the slot before the (slow) store
-  // write so the owner can stage the next checkpoint meanwhile. A streaming
-  // sink already holds every byte, so sealing it does not need the slot.
-  if (slot >= 0) release_slot(slot);
-  if (sink != nullptr)
-    sink->finish();
-  else
-    store_->write_pending(version, bytes);
   rec.version = version;
   for (const auto& var : vars) {
     rec.raw_bytes += var.vec != nullptr ? var.vec->size() * sizeof(double)
@@ -448,6 +440,15 @@ CheckpointRecord CheckpointManager::write_pending_version(
     // Every format stores blobs verbatim.
     if (var.blob != nullptr) rec.per_var_bytes[*var.name] = var.blob->size();
   }
+  // The stream owns the data now; free the slot (`vars` dangles from here
+  // on) before the slow store write so the owner can stage the next
+  // checkpoint meanwhile. A streaming sink already holds every byte, so
+  // sealing it does not need the slot.
+  if (slot >= 0) release_slot(slot);
+  if (sink != nullptr)
+    sink->finish();
+  else
+    store_->write_pending(version, bytes);
   return rec;
 }
 
@@ -466,11 +467,7 @@ CheckpointRecord CheckpointManager::checkpoint() {
     rec = write_pending_version(views, version, base.get(), state, -1);
     store_->commit(version);
   } catch (...) {
-    // Leave no half-written pending blob behind a failed write.
-    try {
-      store_->abort(version);
-    } catch (...) {  // NOLINT: best-effort cleanup; report the first error
-    }
+    store_->abort(version);  // leave no half-written pending blob behind
     throw;
   }
   if (state != nullptr) {
