@@ -263,14 +263,14 @@ class CheckpointManager {
   /// checkpoint() and the staged drain: write `vars` as the *pending* store
   /// version `version`. `base`/`state`: see build_delta_stream. `slot`, if
   /// >= 0, is the staging slot `vars` point into; it is released once the
-  /// stream no longer reads it (before the store write) or on a throw.
+  /// stream no longer reads it (before the store write) or on a throw. The
+  /// encoders below fill the format-specific record fields, this body the
+  /// version, raw sizes and blob sizes common to all three.
   CheckpointRecord write_pending_version(
       const std::vector<VarView>& vars, int version,
       const ChunkBaseState* base,
       std::shared_ptr<const ChunkBaseState>& state, int slot);
 
-  // The encoders below fill the format-specific record fields; the body
-  // above adds the version, raw sizes and blob sizes common to all three.
   /// Serialize one snapshot into the legacy in-memory stream format.
   CheckpointRecord build_stream(const std::vector<VarView>& vars,
                                 std::vector<byte_t>& bytes) const;

@@ -296,7 +296,7 @@ void ResilientRunner::request_checkpoint() {
     try {
       drain_.rec = manager_->checkpoint();
     } catch (...) {
-      drain_failed();
+      abort_drain("drain", "drain-error");  // checkpoint() dropped it
       return;
     }
     drain_.version = drain_.rec.version;
@@ -309,10 +309,8 @@ void ResilientRunner::request_checkpoint() {
   if (injector_.interrupts(t_, stage)) {
     // Failure mid-stage: the node-local snapshot is torn, so the version is
     // rolled back before it could ever become a recovery point.
-    abort_drain(ticket.version);
-    if (trace_ != nullptr)
-      trace_->instant("ckpt", "stage-torn", t_,
-                      {obs::TraceArg::num("version", ticket.version)});
+    drain_.version = ticket.version;
+    abort_drain("ckpt", "stage-torn");
     handle_failure();
     return;
   }
@@ -352,7 +350,8 @@ bool ResilientRunner::ensure_drain_record() {
     try {
       drain_.rec = manager_->wait_drain(drain_.version);
     } catch (...) {
-      drain_failed();
+      // A codec or store error ends a drain like a torn write.
+      abort_drain("drain", "drain-error");
       return false;
     }
   }
@@ -363,19 +362,13 @@ bool ResilientRunner::ensure_drain_record() {
   return true;
 }
 
-void ResilientRunner::abort_drain(int version) {
-  if (version >= 0) manager_->abort_version(version);
+void ResilientRunner::abort_drain(const char* track, const char* event) {
+  // The run continues from the previous committed checkpoint.
+  if (drain_.version >= 0) manager_->abort_version(drain_.version);
   ++result_.aborted_drains;
   if (metrics_ != nullptr) metrics_->add("ckpt.aborted_drains", 1.0);
-}
-
-void ResilientRunner::drain_failed() {
-  // A codec or store error ends a drain like a torn write: the version is
-  // rolled back (blocking mode's checkpoint() already dropped it) and the
-  // run continues from the previous committed checkpoint.
-  abort_drain(drain_.version);
-  if (trace_ != nullptr)
-    trace_->instant("drain", "drain-error", t_,
+  if (trace_ != nullptr && event != nullptr)
+    trace_->instant(track, event, t_,
                     {obs::TraceArg::num("version", drain_.version)});
   drain_ = {};
 }
@@ -486,16 +479,16 @@ void ResilientRunner::settle_drain(bool at_exit) {
   if (!at_exit && t_ <= drain_.end_t) {
     // The failure struck while the drain was still writing: the version is
     // torn and recovery must use the previous committed one. Blocking
-    // mode's version was committed inline, so it is discarded instead.
+    // mode's version was committed inline, so it is discarded, not counted.
     if (mode_.blocking) {
       manager_->discard_version(drain_.version);
-    } else {
-      abort_drain(drain_.version);
-      if (trace_ != nullptr)
-        trace_->complete("drain", "drain-aborted", drain_.start_t, t_,
-                         {obs::TraceArg::num("version", drain_.version)});
+      drain_ = {};
+      return;
     }
-    drain_ = {};
+    if (trace_ != nullptr)
+      trace_->complete("drain", "drain-aborted", drain_.start_t, t_,
+                       {obs::TraceArg::num("version", drain_.version)});
+    abort_drain("drain", nullptr);  // the span above is its trace
     return;
   }
   // The drain finished before the failure, or the solver converged while it
@@ -599,11 +592,9 @@ double ResilientRunner::tiered_recovery_duration(int version, int level,
       stored = it->second.stored;
       base = it->second.base;
     }
-    if (hops > 1) {
-      // Chain bases may live at a different tier than the target version.
-      const int found = tiered_ != nullptr ? tiered_->level_of(v) : -1;
-      if (found >= 0) lvl = found;
-    }
+    // Chain bases may live at a different tier than the target version.
+    if (const int found = hops > 1 ? tiered_->level_of(v) : -1; found >= 0)
+      lvl = found;
     switch (lvl) {
       case 0:
         seconds += cfg_.cluster.local_read_seconds(stored);
@@ -658,27 +649,20 @@ void ResilientRunner::handle_failure() {
 
   // Recovery, which may itself be interrupted by further failures.
   for (;;) {
-    bool have_ckpt = false;
-    int level = -1;
-    double duration = 0.0;
-    if (tiered_ != nullptr) {
-      const int version = tiered_->latest_version();
-      have_ckpt = version >= 0;
-      if (have_ckpt) {
-        level = tiered_->level_of(version);
-        duration = tiered_recovery_duration(version, level, worst);
-      } else {
-        duration = cfg_.cluster.read_seconds(cfg_.static_bytes);
-      }
-    } else {
-      // Re-read the checkpoint (with its chain bases) plus the static state
-      // (A, M, b) and decompress the dynamic payload — paper §5.3.
-      have_ckpt = manager_->has_checkpoint();
-      duration = have_ckpt ? cfg_.cluster.read_seconds(chain_stored_last_ +
-                                                       cfg_.static_bytes) +
-                                 decompress_cost(raw_dyn_bytes_last_)
-                           : cfg_.cluster.read_seconds(cfg_.static_bytes);
-    }
+    const int version = manager_->latest_version();
+    const bool have_ckpt = version >= 0;
+    const int level =
+        have_ckpt && tiered_ != nullptr ? tiered_->level_of(version) : -1;
+    // Without a checkpoint, the global restart re-reads the static state
+    // (A, M, b) only. A single-level recovery also re-reads the checkpoint
+    // with its chain bases and decompresses it — paper §5.3.
+    double duration = cfg_.cluster.read_seconds(cfg_.static_bytes);
+    if (have_ckpt && tiered_ != nullptr)
+      duration = tiered_recovery_duration(version, level, worst);
+    else if (have_ckpt)
+      duration =
+          cfg_.cluster.read_seconds(chain_stored_last_ + cfg_.static_bytes) +
+          decompress_cost(raw_dyn_bytes_last_);
     if (injector_.interrupts(t_, duration)) {
       t_ = injector_.next_failure_time();
       const FailureSeverity sev = injector_.severity();

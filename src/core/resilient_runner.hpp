@@ -11,21 +11,18 @@
 /// reproducible on one node. See DESIGN.md §5 for the rationale.
 ///
 /// Every checkpoint runs one pipeline: request → write → drain window →
-/// commit. A request first settles the drain still in flight (waiting out
-/// the rest of its window is back-pressure), then writes and opens a drain
-/// window priced as compression plus the write. A failure inside the window
-/// tears the version and recovery falls back to the previous commit. The
+/// commit. A request settles the drain still in flight (waiting out the
+/// rest of its window is back-pressure), writes, and opens a drain window
+/// priced as compression plus the write; a failure inside the window tears
+/// the version and recovery falls back to the previous commit. The
 /// checkpoint mode (ResilienceConfig::ckpt_mode) only sets parameters:
-///  - CkptMode::kSync — the paper's setting and the blocking case: the write
+///  - CkptMode::kSync — the paper's setting, the blocking case: the write
 ///    runs inline and the solver waits out the whole PFS drain at once.
-///  - CkptMode::kAsync — staged: only the node-local staging copy blocks
-///    the virtual clock; the drain overlaps subsequent iterations.
-///  - CkptMode::kTiered — staged into a node-local L1 tier (a cheap drain);
-///    committed versions are promoted L1→L2(partner)→L3(PFS) on a virtual
-///    background channel. Failures carry a severity (sampled per
-///    FailureConfig weights); a severity-k failure destroys the tiers that
-///    do not survive it and recovery reads the cheapest surviving tier,
-///    plus the static state for node-or-worse failures.
+///  - CkptMode::kAsync — only the staging copy blocks the virtual clock;
+///    the drain overlaps subsequent iterations.
+///  - CkptMode::kTiered — staged into a node-local L1 tier; committed
+///    versions are promoted L1→L2(partner)→L3(PFS) in the background, and
+///    a severity-k failure recovers from the cheapest surviving tier.
 
 #include <array>
 #include <deque>
@@ -190,10 +187,9 @@ struct ResilienceResult {
   int failures = 0;
   int checkpoints = 0;
   int recoveries = 0;
-  /// Versions rolled back before they committed: staged versions torn by a
-  /// failure during their stage or drain (async and tiered), plus drains in
-  /// any mode whose codec or store threw. A sync write torn by a failure is
-  /// discarded, not counted here.
+  /// Versions rolled back before they committed: torn by a failure during
+  /// their stage or drain (async, tiered), or whose codec or store threw
+  /// (any mode). A sync write torn by a failure is discarded, not counted.
   int aborted_drains = 0;
 
   /// Virtual seconds the solver was *blocked* by checkpointing: the full
@@ -317,9 +313,9 @@ class ResilientRunner {
   void charge_blocking(double seconds, const char* kind);
   /// Join drain_ and fix its virtual window; false if the drain threw.
   [[nodiscard]] bool ensure_drain_record();
-  /// Roll back `version` (if any) and count it as an aborted drain.
-  void abort_drain(int version);
-  void drain_failed();  ///< drain_'s codec or store threw: roll it back.
+  /// Roll back drain_ (torn at its stage, or its codec or store threw) and
+  /// count it as aborted; `event`, if any, is its trace instant on `track`.
+  void abort_drain(const char* track, const char* event);
   /// Block for the rest of drain_'s window, then commit it.
   [[nodiscard]] bool await_drain();
   /// Commit drain_ and account for it; `overlapped_drain_seconds` is the
@@ -378,10 +374,8 @@ class ResilientRunner {
   /// The drain in flight (version < 0: none).
   struct Drain {
     int version = -1;
-    bool known = false;     ///< record joined, window fixed
-    double start_t = 0.0;   ///< virtual window [start_t, end_t]
-    double window = 0.0;
-    double end_t = 0.0;
+    bool known = false;  ///< record joined, window fixed
+    double start_t = 0.0, window = 0.0, end_t = 0.0;  ///< virtual window
     double blocking = 0.0;  ///< solver blocking time charged to it
     CheckpointRecord rec{};
   };
