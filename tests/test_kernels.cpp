@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -615,6 +616,32 @@ Vector golden_spiky(std::size_t n) {
   return v;
 }
 
+/// Solver-like doubles laid out so that the deflate LZ77 search meets each
+/// of its edge cases: hash chains cut by the 64-probe cap (the field's
+/// repeated exponent bytes), 258-byte matches (a zero run), a match at
+/// exactly the 32 KiB window distance (a random block copied 4096 doubles
+/// later), and a final match cut short by the end of the input (a trailing
+/// zero run).
+Vector golden_ckpt(std::size_t n) {
+  Vector v = golden_field(n);
+  Rng rng(7);
+  for (std::size_t i = 1000; i < 1100; ++i) v[i] = 0.0;
+  for (std::size_t i = 2000; i < 2040; ++i) {
+    v[i] = rng.normal(0.0, 1e3);
+    v[i + 4096] = v[i];
+  }
+  for (std::size_t i = n - 40; i < n; ++i) v[i] = 0.0;
+  return v;
+}
+
+Vector golden_data(const char* kind, std::size_t n) {
+  switch (kind[0]) {
+    case 'f': return golden_field(n);
+    case 's': return golden_spiky(n);
+    default: return golden_ckpt(n);
+  }
+}
+
 TEST(CompressionGoldens, StreamsAreByteIdenticalToPreChangeOutput) {
   struct Golden {
     const char* comp;
@@ -640,6 +667,10 @@ TEST(CompressionGoldens, StreamsAreByteIdenticalToPreChangeOutput) {
       {"shuffle-rle", 0, 0.0e+00, "spiky", 20000u, 40277u, 0x8748c687u},
       {"lz4", 0, 0.0e+00, "field", 20000u, 160468u, 0x03e2e9b5u},
       {"shuffle-lz4", 0, 0.0e+00, "spiky", 20000u, 48366u, 0xfbfa0b35u},
+      {"zfp", 0, 1.0e-06, "field", 20000u, 67928u, 0x52d75c1bu},
+      // eb = 0 on spiky data forces raw blocks: 64-bit writes of whole doubles.
+      {"zfp", 0, 0.0e+00, "spiky", 20000u, 37952u, 0x060dac02u},
+      {"deflate", 0, 0.0e+00, "ckpt", 12288u, 87089u, 0xb2a18fb8u},
   };
   for (const Golden& g : goldens) {
     ErrorBound eb;
@@ -649,7 +680,7 @@ TEST(CompressionGoldens, StreamsAreByteIdenticalToPreChangeOutput) {
       default: eb = ErrorBound::pointwise_rel(g.eb); break;
     }
     const auto comp = make_compressor(g.comp, eb);
-    const Vector v = g.data[0] == 'f' ? golden_field(g.n) : golden_spiky(g.n);
+    const Vector v = golden_data(g.data, g.n);
     const auto stream = comp->compress(v);
     EXPECT_EQ(stream.size(), g.stream_size)
         << g.comp << " mode=" << g.mode << " n=" << g.n;
@@ -686,6 +717,36 @@ TEST(CompressionGoldens, HuffmanPayloadAndHistogram) {
   const auto payload = bw.finish();
   EXPECT_EQ(payload.size(), 87057u);
   EXPECT_EQ(crc32(payload), 0xe44275bcu);
+}
+
+TEST(CompressionGoldens, HuffmanLongCodePayload) {
+  // Fibonacci frequencies build a maximally deep tree that the length
+  // limiter flattens to kHuffmanMaxBits, so about half of this stream is
+  // coded with lengths far past an 11-bit first-level decode table.
+  std::vector<std::uint64_t> freqs(40);
+  std::uint64_t a = 1, b = 1;
+  for (auto& f : freqs) {
+    f = a;
+    const auto next = a + b;
+    a = b;
+    b = next;
+  }
+  const auto lengths = huffman_code_lengths(freqs);
+  EXPECT_EQ(*std::max_element(lengths.begin(), lengths.end()), 20u);
+  Rng rng(11);
+  std::vector<std::uint32_t> symbols(20000);
+  for (auto& s : symbols)
+    s = rng.uniform() < 0.5 ? 39u : static_cast<std::uint32_t>(rng.uniform_index(40));
+  const HuffmanEncoder enc(lengths);
+  BitWriter bw;
+  for (const auto s : symbols) enc.encode(bw, s);
+  const auto payload = bw.finish();
+  EXPECT_EQ(payload.size(), 16807u);
+  EXPECT_EQ(crc32(payload), 0xf8a0a14au);
+  const HuffmanDecoder dec(lengths);
+  BitReader br(payload);
+  for (const auto s : symbols) ASSERT_EQ(dec.decode(br), s);
+  EXPECT_LT(br.bits_remaining(), 8u);
 }
 
 TEST(CompressionGoldens, CountFrequenciesEdgeCases) {
