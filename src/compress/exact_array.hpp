@@ -66,6 +66,8 @@ class ExactArrayReader {
   ExactArrayReader(ByteReader& in, std::size_t exact_entries)
       : nonzero_(read_rle_bitset(in, exact_entries)) {
     const auto count = in.get<std::uint64_t>();
+    if (count > exact_entries || count > in.remaining() / sizeof(double))
+      throw corrupt_stream_error("exact array: implausible value count");
     values_.resize(count);
     in.get_array(values_.data(), count);
   }

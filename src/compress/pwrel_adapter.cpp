@@ -69,6 +69,7 @@ void PointwiseRelativeAdapter::decompress(std::span<const byte_t> stream,
   ExactArrayReader exact(in, exact_entries);
   const auto log_count = in.get<std::uint64_t>();
   const auto inner_size = in.get<std::uint64_t>();
+  if (log_count > n) throw corrupt_stream_error("pwrel: implausible log count");
   std::vector<double> logs(log_count);
   inner_->decompress(in.get_bytes(inner_size), logs);
 

@@ -155,6 +155,10 @@ std::vector<double> core_decompress(ByteReader& in, std::size_t expect_n) {
   const auto lengths = read_code_lengths(in, kAlphabet);
   const HuffmanDecoder dec(lengths);
   const auto outlier_count = in.get<std::uint64_t>();
+  // Check before sizing the buffer: a corrupt count must not reach the
+  // allocator (std::bad_alloc is not a corrupt_stream_error).
+  if (outlier_count > n || outlier_count > in.remaining() / sizeof(double))
+    throw corrupt_stream_error("sz: implausible outlier count");
   std::vector<double> outliers(outlier_count);
   in.get_array(outliers.data(), outlier_count);
   const auto payload_size = in.get<std::uint64_t>();
@@ -274,6 +278,7 @@ void SzLikeCompressor::decompress(std::span<const byte_t> stream,
         if (zero_mask[i]) ++exact_entries;
       ExactArrayReader exact(in, exact_entries);
       const auto log_count = in.get<std::uint64_t>();
+      if (log_count > n) throw corrupt_stream_error("sz: implausible log count");
       const auto logs = core_decompress(in, log_count);
 
       std::size_t li = 0;

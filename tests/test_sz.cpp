@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "common/rng.hpp"
@@ -223,6 +224,31 @@ TEST(SzRobustness, SizeMismatchThrows) {
   const auto stream = c.compress(in);
   Vector out(101);
   EXPECT_THROW(c.decompress(stream, out), corrupt_stream_error);
+}
+
+TEST(SzRobustness, HugeOutlierCountThrowsCorruptStream) {
+  // The u64 outlier count once sized a vector before anything checked it,
+  // so a corrupt count threw std::bad_alloc, which callers that catch only
+  // corrupt_stream_error (the dedup store) let escape. Writing 2^40 over
+  // every 8-byte window of the stream hits that count (bytes 65..72 here)
+  // among the rest; each must decode or throw corrupt_stream_error.
+  SzLikeCompressor c(ErrorBound::absolute(1e-6));
+  const auto stream = c.compress(smooth_field(1000));
+  Vector out(1000);
+  int rejected = 0;
+  for (std::size_t k = 0; k + 8 <= stream.size(); ++k) {
+    auto bad = stream;
+    const std::uint64_t huge = std::uint64_t{1} << 40;
+    std::memcpy(bad.data() + k, &huge, sizeof(huge));
+    try {
+      c.decompress(bad, out);
+    } catch (const corrupt_stream_error&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "offset " << k << ": " << e.what();
+    }
+  }
+  EXPECT_GT(rejected, 0);
 }
 
 TEST(SzPointwiseRelative, SparseFieldCompressesFarBeyondOne) {
