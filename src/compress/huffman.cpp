@@ -125,16 +125,26 @@ HuffmanDecoder::HuffmanDecoder(std::span<const std::uint8_t> lengths) {
     max_len_ = std::max<unsigned>(max_len_, l);
   if (max_len_ > kHuffmanMaxBits)
     throw corrupt_stream_error("huffman: code length exceeds limit");
+  if (lengths.size() > (std::size_t{1} << (32 - kLenBits)))
+    throw corrupt_stream_error("huffman: alphabet too large");
   groups_.resize(max_len_ + 1);
 
-  // Sort symbols by (length, symbol) — canonical order.
+  // Sort symbols by (length, symbol) — canonical order — with one counting
+  // pass and one placement pass.
+  for (const auto l : lengths)
+    if (l != 0) ++groups_[l].count;
+  std::uint32_t index = 0;
   for (unsigned len = 1; len <= max_len_; ++len) {
-    groups_[len].first_index = static_cast<std::uint32_t>(symbols_.size());
-    for (std::size_t s = 0; s < lengths.size(); ++s)
-      if (lengths[s] == len) {
-        symbols_.push_back(static_cast<std::uint32_t>(s));
-        ++groups_[len].count;
-      }
+    groups_[len].first_index = index;
+    index += groups_[len].count;
+  }
+  symbols_.resize(index);
+  std::vector<std::uint32_t> fill(max_len_ + 1, 0);
+  for (std::size_t s = 0; s < lengths.size(); ++s) {
+    const unsigned l = lengths[s];
+    if (l != 0)
+      symbols_[groups_[l].first_index + fill[l]++] =
+          static_cast<std::uint32_t>(s);
   }
   std::uint32_t code = 0;
   std::uint32_t prev_count = 0;
@@ -143,16 +153,42 @@ HuffmanDecoder::HuffmanDecoder(std::span<const std::uint8_t> lengths) {
     groups_[len].first_code = code;
     prev_count = groups_[len].count;
   }
+
+  // Shortest length first, and a filled entry is never overwritten: a
+  // prefix resolves at the first length whose canonical range holds it,
+  // as in the walk. Ranges use the walk's wrapping u32 arithmetic, so an
+  // over-subscribed set whose range wraps matches nothing at that length.
+  table_.assign(std::size_t{1} << kTableBits, 0);
+  for (unsigned len = 1; len <= std::min(max_len_, kTableBits); ++len) {
+    const LengthGroup& g = groups_[len];
+    const std::uint32_t end = g.first_code + g.count;
+    if (g.count == 0 || end < g.first_code) continue;
+    const std::uint64_t stop = std::min<std::uint64_t>(end, 1u << len);
+    const unsigned shift = kTableBits - len;
+    for (std::uint64_t c = g.first_code; c < stop; ++c) {
+      const std::uint32_t entry =
+          symbols_[g.first_index + (c - g.first_code)] << kLenBits | len;
+      for (std::uint64_t t = c << shift; t < (c + 1) << shift; ++t)
+        if (table_[t] == 0) table_[t] = entry;
+    }
+  }
 }
 
-std::uint32_t HuffmanDecoder::decode(BitReader& br) const {
-  std::uint32_t code = 0;
-  for (unsigned len = 1; len <= max_len_; ++len) {
-    code = (code << 1) | br.read_bit();
+std::uint32_t HuffmanDecoder::decode_slow(BitReader& br,
+                                          std::uint64_t bits) const {
+  for (unsigned len = kTableBits + 1; len <= max_len_; ++len) {
+    const auto code =
+        static_cast<std::uint32_t>(bits >> (kHuffmanMaxBits - len));
     const LengthGroup& g = groups_[len];
-    if (g.count != 0 && code < g.first_code + g.count && code >= g.first_code)
+    if (g.count != 0 && code < g.first_code + g.count && code >= g.first_code) {
+      br.skip(len);  // throws if the code runs past the end
       return symbols_[g.first_index + (code - g.first_code)];
+    }
   }
+  // Past the end, `bits` is zero-padded; a walk would have run out of bits
+  // before proving the code invalid.
+  if (max_len_ > br.bits_remaining())
+    throw corrupt_stream_error("bit read past end");
   throw corrupt_stream_error("huffman: invalid code");
 }
 

@@ -26,11 +26,12 @@ inline constexpr unsigned kHuffmanMaxBits = 24;
     std::span<const std::uint64_t> freqs);
 
 /// Symbol-frequency histogram over `symbols` (each must be < `alphabet`).
-/// Internally accumulates four interleaved partial histograms so the counter
-/// increments form independent dependency chains (the single loop-carried
-/// `++freq[c]` serializes on store-to-load forwarding for skewed symbol
-/// streams), then merges them. Integer addition is associative, so the
-/// result is identical to the naive loop.
+/// Internally accumulates eight interleaved partial histograms (the
+/// dispatched `hist8` kernel) so the counter increments form independent
+/// dependency chains (the single loop-carried `++freq[c]` serializes on
+/// store-to-load forwarding for skewed symbol streams), then merges them.
+/// Integer addition is associative, so the result is identical to the
+/// naive loop.
 [[nodiscard]] std::vector<std::uint64_t> count_frequencies(
     std::span<const std::uint32_t> symbols, std::size_t alphabet);
 
@@ -53,13 +54,39 @@ class HuffmanEncoder {
 };
 
 /// Canonical Huffman decoder built from the same code lengths.
+///
+/// One lookup in a 2^kTableBits-entry table, indexed by the next
+/// kTableBits bits, resolves every code of up to kTableBits bits. Longer
+/// codes, and bit patterns no code matches, fall back to the canonical walk
+/// from length kTableBits + 1. The table is filled by that same walk's rule
+/// (the shortest length whose canonical range holds the prefix wins), so
+/// incomplete and over-subscribed length sets decode to the same symbol, or
+/// throw the same corrupt_stream_error, as a bit-at-a-time walk would.
 class HuffmanDecoder {
  public:
+  static constexpr unsigned kTableBits = 11;
+
   explicit HuffmanDecoder(std::span<const std::uint8_t> lengths);
 
-  [[nodiscard]] std::uint32_t decode(BitReader& br) const;
+  [[nodiscard]] std::uint32_t decode(BitReader& br) const {
+    static_assert(kHuffmanMaxBits <= BitReader::kMaxPeekBits);
+    const std::uint64_t bits = br.peek(kHuffmanMaxBits);
+    const std::uint32_t e = table_[bits >> (kHuffmanMaxBits - kTableBits)];
+    if (e == 0) return decode_slow(br, bits);
+    br.skip(e & kLenMask);
+    return e >> kLenBits;
+  }
 
  private:
+  // Table entry: symbol << kLenBits | code length; 0 = not resolved here.
+  static constexpr unsigned kLenBits = 5;
+  static constexpr std::uint32_t kLenMask = (1u << kLenBits) - 1;
+
+  /// Canonical walk over lengths kTableBits+1..max_len_ for the
+  /// kHuffmanMaxBits-bit prefix `bits`.
+  [[nodiscard]] std::uint32_t decode_slow(BitReader& br,
+                                          std::uint64_t bits) const;
+
   // Per length L: first canonical code value and index into sorted symbols.
   struct LengthGroup {
     std::uint32_t first_code = 0;
@@ -68,10 +95,12 @@ class HuffmanDecoder {
   };
   std::vector<LengthGroup> groups_;   // index = code length
   std::vector<std::uint32_t> symbols_;  // sorted by (length, symbol)
+  std::vector<std::uint32_t> table_;   // 2^kTableBits entries
   unsigned max_len_ = 0;
 };
 
-/// Serialize a code-length array compactly (RLE of zeros + 5-bit lengths).
+/// Serialize a code-length array compactly (RLE of zeros + one byte per
+/// nonzero length).
 void write_code_lengths(ByteWriter& out, std::span<const std::uint8_t> lengths);
 
 /// Inverse of write_code_lengths; `alphabet` is the expected array size.

@@ -182,6 +182,107 @@ TEST(BitIo, ReadPastEndThrows) {
   EXPECT_THROW(r.read_bit(), corrupt_stream_error);
 }
 
+/// Reference MSB-first bit string: bit k of the stream is `bits[k]`.
+std::vector<byte_t> pack_bits(const std::vector<unsigned>& bits) {
+  std::vector<byte_t> out((bits.size() + 7) / 8, 0);
+  for (std::size_t k = 0; k < bits.size(); ++k)
+    if (bits[k] != 0) out[k / 8] |= static_cast<byte_t>(0x80u >> (k % 8));
+  return out;
+}
+
+TEST(BitIo, MixedWidthsRoundTripWithExactCounts) {
+  // Widths 0..64 in random order, values with stray bits above the width
+  // (which the writer must ignore). Check the stream against a bit-by-bit
+  // reference, then read it back through every reader entry point.
+  Rng rng(31);
+  std::vector<std::pair<std::uint64_t, unsigned>> items;
+  for (int k = 0; k < 4000; ++k)
+    items.emplace_back(rng(), static_cast<unsigned>(rng.uniform_index(65)));
+  BitWriter w;
+  std::vector<unsigned> ref;
+  for (const auto& [v, width] : items) {
+    w.write_bits(v, width);
+    for (unsigned b = width; b-- > 0;) ref.push_back((v >> b) & 1u);
+    ASSERT_EQ(w.bit_count(), ref.size());
+  }
+  const auto buf = w.finish();
+  ASSERT_EQ(buf, pack_bits(ref));
+
+  BitReader r(buf);
+  std::size_t pos = 0;
+  for (std::size_t k = 0; k < items.size(); ++k) {
+    const auto [v, width] = items[k];
+    const std::uint64_t want = width == 0 ? 0 : v & (~std::uint64_t{0} >> (64 - width));
+    std::uint64_t got;
+    if (width <= BitReader::kMaxPeekBits && k % 3 == 0) {
+      got = r.peek(width);  // peek twice: it must not consume
+      ASSERT_EQ(r.peek(width), got);
+      ASSERT_EQ(r.bit_position(), pos);
+      r.skip(width);
+    } else if (width <= 8 && k % 3 == 1) {
+      got = 0;
+      for (unsigned b = 0; b < width; ++b) got = (got << 1) | r.read_bit();
+    } else {
+      got = r.read_bits(width);
+    }
+    ASSERT_EQ(got, want) << "item " << k << " width " << width;
+    pos += width;
+    ASSERT_EQ(r.bit_position(), pos);
+    ASSERT_EQ(r.bits_remaining(), buf.size() * 8 - pos);
+  }
+}
+
+TEST(BitIo, ReadsThrowExactlyOneBitPastTheEnd) {
+  // For every stream length up to 24 bytes and every width, a read of
+  // exactly the remaining bits succeeds and one bit more throws.
+  Rng rng(5);
+  for (std::size_t nbytes = 0; nbytes <= 24; ++nbytes) {
+    std::vector<byte_t> buf(nbytes);
+    for (auto& b : buf) b = static_cast<byte_t>(rng());
+    for (unsigned lead = 0; lead < 8; ++lead) {
+      if (lead > nbytes * 8) break;
+      const std::size_t rest = nbytes * 8 - lead;
+      if (rest >= 64) continue;
+      {
+        BitReader r(buf);
+        r.skip(lead);
+        EXPECT_THROW(r.read_bits(static_cast<unsigned>(rest) + 1),
+                     corrupt_stream_error)
+            << nbytes << " bytes, lead " << lead;
+      }
+      BitReader r(buf);
+      r.skip(lead);
+      (void)r.read_bits(static_cast<unsigned>(rest));
+      EXPECT_EQ(r.bits_remaining(), 0u);
+      EXPECT_THROW(r.read_bit(), corrupt_stream_error);
+      EXPECT_THROW(r.skip(1), corrupt_stream_error);
+      EXPECT_EQ(r.peek(BitReader::kMaxPeekBits), 0u);  // zero padding
+    }
+  }
+}
+
+TEST(BitIo, PeekPastTheEndIsZeroPadded) {
+  const std::vector<byte_t> buf{0xa5, 0xff};
+  BitReader r(buf);
+  r.skip(12);
+  EXPECT_EQ(r.peek(4), 0xfu);
+  EXPECT_EQ(r.peek(10), 0xfu << 6);
+  EXPECT_EQ(r.bit_position(), 12u);
+  EXPECT_THROW(r.skip(5), corrupt_stream_error);
+  r.skip(4);
+  EXPECT_EQ(r.bits_remaining(), 0u);
+}
+
+TEST(BitIo, LongUnaryRunsCrossWords) {
+  BitWriter w;
+  const unsigned values[] = {0, 63, 64, 65, 200, 7};
+  for (const unsigned v : values) w.write_unary(v);
+  const auto buf = w.finish();
+  BitReader r(buf);
+  for (const unsigned v : values) EXPECT_EQ(r.read_unary(), v);
+  EXPECT_LT(r.bits_remaining(), 8u);
+}
+
 TEST(Crc32, KnownVector) {
   // CRC-32("123456789") = 0xCBF43926 (IEEE reference value).
   const char* s = "123456789";

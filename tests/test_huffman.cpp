@@ -5,9 +5,11 @@
 
 #include <map>
 #include <numeric>
+#include <string>
 
 #include "common/rng.hpp"
 #include "compress/huffman.hpp"
+#include "support/reference_huffman.hpp"
 
 namespace lck {
 namespace {
@@ -174,6 +176,117 @@ TEST(Huffman, DecoderRejectsGarbage) {
         for (int i = 0; i < 100; ++i) (void)dec.decode(br);
       },
       corrupt_stream_error);
+}
+
+/// Decode `bits` with the table-driven and the bit-serial reference
+/// decoder side by side until both throw: every symbol, every bit position
+/// and the final exception message must agree.
+void expect_matches_reference(const std::vector<std::uint8_t>& lengths,
+                              const std::vector<byte_t>& bits) {
+  const HuffmanDecoder dec(lengths);
+  const ReferenceHuffmanDecoder ref(lengths);
+  BitReader a(bits), b(bits);
+  for (std::size_t k = 0;; ++k) {
+    std::string ea, eb;
+    std::uint32_t sa = 0, sb = 0;
+    try {
+      sa = dec.decode(a);
+    } catch (const corrupt_stream_error& e) {
+      ea = e.what();
+    }
+    try {
+      sb = ref.decode(b);
+    } catch (const corrupt_stream_error& e) {
+      eb = e.what();
+    }
+    ASSERT_EQ(ea, eb) << "symbol " << k;
+    if (!ea.empty()) return;
+    ASSERT_EQ(sa, sb) << "symbol " << k;
+    ASSERT_EQ(a.bit_position(), b.bit_position()) << "symbol " << k;
+  }
+}
+
+std::vector<byte_t> random_bits(Rng& rng, std::size_t nbytes) {
+  std::vector<byte_t> v(nbytes);
+  for (auto& x : v) x = static_cast<byte_t>(rng());
+  return v;
+}
+
+/// Streams to run each length set against: empty, constant and random,
+/// short enough to end mid-code and long enough to hit every table entry.
+std::vector<std::vector<byte_t>> probe_streams(Rng& rng) {
+  std::vector<std::vector<byte_t>> s{{}, {0x00}, {0xff}, {0x80, 0x01},
+                                     std::vector<byte_t>(40, 0x00),
+                                     std::vector<byte_t>(40, 0xff)};
+  for (const std::size_t n : {1, 2, 3, 5, 9, 33, 600})
+    s.push_back(random_bits(rng, n));
+  return s;
+}
+
+TEST(HuffmanDecoder, MatchesBitSerialReferenceOnEdgeCaseLengthSets) {
+  std::vector<std::vector<std::uint8_t>> sets{
+      {},                      // empty alphabet
+      {0, 0, 0},               // no codes at all
+      {0, 0, 1, 0},            // single symbol, 1 bit: '1' is invalid
+      {0, 5},                  // single symbol, 5 bits
+      {24},                    // single symbol, longest length
+      {1, 0, 3},               // incomplete: '101' and '11x' invalid
+      {2, 2, 2},               // incomplete: '11' invalid
+      {12, 12, 13, 20, 24},    // incomplete, every code past the table
+      {1, 1, 1},               // over-subscribed at one length
+      {2, 2, 2, 2, 2, 1},      // over-subscribed across lengths
+      {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 12},  // complete, deep
+  };
+  // Over-subscribed so far that the canonical first code wraps u32.
+  std::vector<std::uint8_t> wrap(70000, 1);
+  wrap[5] = 20;
+  wrap[69999] = 24;
+  sets.push_back(wrap);
+  // Complete codes up to 20 bits from the length limiter, then the same
+  // set with symbols removed (incomplete) and with one added (over-full).
+  std::vector<std::uint64_t> fib(40);
+  std::uint64_t x = 1, y = 1;
+  for (auto& f : fib) {
+    f = x;
+    const auto next = x + y;
+    x = y;
+    y = next;
+  }
+  auto deep = huffman_code_lengths(fib);
+  sets.push_back(deep);
+  deep[0] = 0;
+  deep[17] = 0;
+  sets.push_back(deep);
+  deep.push_back(3);
+  sets.push_back(deep);
+
+  Rng rng(77);
+  const auto streams = probe_streams(rng);
+  for (std::size_t k = 0; k < sets.size(); ++k)
+    for (std::size_t j = 0; j < streams.size(); ++j) {
+      SCOPED_TRACE(::testing::Message() << "set " << k << " stream " << j);
+      expect_matches_reference(sets[k], streams[j]);
+    }
+}
+
+TEST(HuffmanDecoder, MatchesBitSerialReferenceOnRandomLengthSets) {
+  // Random lengths are mostly incomplete or over-subscribed; bias half the
+  // sets toward codes longer than the first-level table.
+  Rng rng(2024);
+  for (int trial = 0; trial < 400; ++trial) {
+    const std::size_t alphabet = 1 + rng.uniform_index(48);
+    std::vector<std::uint8_t> lengths(alphabet);
+    const unsigned lo = trial % 2 == 0 ? 1 : HuffmanDecoder::kTableBits;
+    for (auto& l : lengths)
+      l = rng.uniform() < 0.2
+              ? 0
+              : static_cast<std::uint8_t>(
+                    lo + rng.uniform_index(kHuffmanMaxBits - lo + 1));
+    for (int j = 0; j < 3; ++j) {
+      SCOPED_TRACE(::testing::Message() << "trial " << trial << " j " << j);
+      expect_matches_reference(lengths, random_bits(rng, 1 + rng.uniform_index(64)));
+    }
+  }
 }
 
 TEST(Huffman, CompressionBeatsFixedWidthOnSkewedData) {
