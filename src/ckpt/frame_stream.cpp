@@ -238,7 +238,8 @@ void FrameReader::next_frame() {
       lz4_decompress_into(comp_, raw_);
       break;
     case FrameStyle::kDeflate:
-      raw_ = deflate_decompress(comp_, raw_len);
+      raw_.resize(raw_len);
+      deflate_decompress(comp_, raw_);
       break;
   }
   rpos_ = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstring>
 
 #include "common/bit_io.hpp"
@@ -46,25 +47,55 @@ constexpr std::array<CodeRange, 30> kDistCodes{{
     {4097, 11}, {6145, 11}, {8193, 12}, {12289, 12}, {16385, 13}, {24577, 13},
 }};
 
-unsigned length_code(std::size_t len) {
-  for (unsigned c = static_cast<unsigned>(kLengthCodes.size()); c-- > 0;)
-    if (len >= kLengthCodes[c].base) return c;
-  throw corrupt_stream_error("deflate: bad match length");
+/// Code of a match length (3..258) and of a distance (1..32768): linear
+/// scans of the tables above, evaluated only at compile time to build the
+/// lookup tables below.
+constexpr unsigned length_code_scan(std::size_t len) {
+  unsigned c = static_cast<unsigned>(kLengthCodes.size()) - 1;
+  while (len < kLengthCodes[c].base) --c;
+  return c;
 }
 
-unsigned dist_code(std::size_t dist) {
-  for (unsigned c = static_cast<unsigned>(kDistCodes.size()); c-- > 0;)
-    if (dist >= kDistCodes[c].base) return c;
-  throw corrupt_stream_error("deflate: bad match distance");
+constexpr unsigned dist_code_scan(std::size_t dist) {
+  unsigned c = static_cast<unsigned>(kDistCodes.size()) - 1;
+  while (dist < kDistCodes[c].base) --c;
+  return c;
 }
+
+constexpr auto kLengthCodeOf = [] {
+  std::array<std::uint8_t, kMaxMatch + 1> t{};
+  for (std::size_t len = kMinMatch; len <= kMaxMatch; ++len)
+    t[len] = static_cast<std::uint8_t>(length_code_scan(len));
+  return t;
+}();
+
+// zlib's split table: distances up to 256 index it directly, longer ones by
+// (dist - 1) >> 7, which is exact because every base past 256 is 1 mod 128.
+constexpr auto kDistCodeOf = [] {
+  std::array<std::uint8_t, 512> t{};
+  for (std::size_t d = 1; d <= 256; ++d)
+    t[d - 1] = static_cast<std::uint8_t>(dist_code_scan(d));
+  for (std::size_t d = 257; d <= kWindowSize; d += 128)
+    t[256 + ((d - 1) >> 7)] = static_cast<std::uint8_t>(dist_code_scan(d));
+  return t;
+}();
+
+constexpr unsigned dist_code(std::size_t dist) {
+  return dist <= 256 ? kDistCodeOf[dist - 1] : kDistCodeOf[256 + ((dist - 1) >> 7)];
+}
+
+static_assert([] {
+  for (std::size_t d = 1; d <= kWindowSize; ++d)
+    if (dist_code(d) != dist_code_scan(d)) return false;
+  return true;
+}());
 
 // ----- LZ77 tokenization -----------------------------------------------------
-struct Token {
-  bool is_match;
-  byte_t literal;          // when !is_match
-  std::uint32_t length;    // when is_match
-  std::uint32_t distance;  // when is_match
-};
+// A token packs into 32 bits: a literal is its byte value; a match is
+// length << 16 | distance (distance <= 32768 fits in the low 16 bits,
+// length >= 3 makes every match token >= 1 << 16).
+using Token = std::uint32_t;
+constexpr Token kMatchFlag = 1u << 16;
 
 std::uint32_t hash3(const byte_t* p) noexcept {
   const std::uint32_t h = static_cast<std::uint32_t>(p[0]) |
@@ -73,52 +104,87 @@ std::uint32_t hash3(const byte_t* p) noexcept {
   return (h * 2654435761u) >> 17;  // 15-bit hash
 }
 
+/// Length of the common prefix of `a` and `b`, at most `limit`, compared
+/// eight bytes at a time (the first differing byte of a little-endian XOR
+/// is its lowest set byte).
+std::size_t match_length(const byte_t* a, const byte_t* b,
+                         std::size_t limit) noexcept {
+  std::size_t len = 0;
+  for (; len + 8 <= limit; len += 8) {
+    std::uint64_t x, y;
+    std::memcpy(&x, a + len, 8);
+    std::memcpy(&y, b + len, 8);
+    if (x != y)
+      return len + static_cast<std::size_t>(std::countr_zero(x ^ y) >> 3);
+  }
+  while (len < limit && a[len] == b[len]) ++len;
+  return len;
+}
+
+/// Greedy LZ77 parse. At each position the hash chain is walked newest
+/// first over at most kMaxChainProbes candidates inside the window, and the
+/// first candidate with the strictly longest match wins. Skipping a
+/// candidate whose byte at the current best length differs, and stopping
+/// once a match reaches the length limit, cannot change that choice.
 std::vector<Token> tokenize(std::span<const byte_t> in) {
   constexpr std::size_t kHashSize = 1u << 15;
   constexpr int kMaxChainProbes = 64;
+  // prev[j % kRingSize] is the distance from position j back to the
+  // previous position with the same hash, or 0 when that one is out of the
+  // window (the walk would stop there anyway). A ring twice the window
+  // keeps every in-window entry alive until the walk is past it.
+  constexpr std::size_t kRingSize = 2 * kWindowSize;
+  const std::size_t n = in.size();
+  const byte_t* const base = in.data();
   std::vector<std::int64_t> head(kHashSize, -1);
-  std::vector<std::int64_t> prev(in.size(), -1);
+  std::vector<std::uint16_t> prev(kRingSize, 0);
   std::vector<Token> tokens;
-  tokens.reserve(in.size() / 4 + 16);
+  tokens.reserve(n / 4 + 16);
 
   // Link position j into the chain for its 3-byte hash.
   const auto insert = [&](std::size_t j) {
-    const std::uint32_t h = hash3(in.data() + j);
-    prev[j] = head[h];
+    const std::uint32_t h = hash3(base + j);
+    const std::int64_t last = head[h];
+    const std::size_t d = last < 0 ? 0 : j - static_cast<std::size_t>(last);
+    prev[j % kRingSize] =
+        static_cast<std::uint16_t>(d <= kWindowSize ? d : 0);
     head[h] = static_cast<std::int64_t>(j);
   };
 
   std::size_t i = 0;
-  while (i < in.size()) {
+  while (i < n) {
     std::size_t best_len = 0, best_dist = 0;
-    const bool can_hash = i + kMinMatch <= in.size();
+    const bool can_hash = i + kMinMatch <= n;
     if (can_hash) {
-      std::int64_t cand = head[hash3(in.data() + i)];
-      int probes = 0;
-      while (cand >= 0 && i - static_cast<std::size_t>(cand) <= kWindowSize &&
-             probes++ < kMaxChainProbes) {
-        const std::size_t c = static_cast<std::size_t>(cand);
-        const std::size_t limit = std::min(kMaxMatch, in.size() - i);
-        std::size_t len = 0;
-        while (len < limit && in[c + len] == in[i + len]) ++len;
-        if (len > best_len) {
-          best_len = len;
-          best_dist = i - c;
-          if (len == kMaxMatch) break;
+      const byte_t* const cur = base + i;
+      const std::size_t limit = std::min(kMaxMatch, n - i);
+      const std::int64_t h = head[hash3(cur)];
+      if (h >= 0 && i - static_cast<std::size_t>(h) <= kWindowSize) {
+        std::size_t c = static_cast<std::size_t>(h);
+        for (int probes = 0; probes < kMaxChainProbes; ++probes) {
+          if (base[c + best_len] == cur[best_len]) {
+            const std::size_t len = match_length(base + c, cur, limit);
+            if (len > best_len) {
+              best_len = len;
+              best_dist = i - c;
+              if (len == limit) break;
+            }
+          }
+          const std::size_t d = prev[c % kRingSize];
+          if (d == 0 || i - (c - d) > kWindowSize) break;
+          c -= d;
         }
-        cand = prev[c];
       }
     }
     if (best_len >= kMinMatch) {
-      tokens.push_back({true, 0, static_cast<std::uint32_t>(best_len),
-                        static_cast<std::uint32_t>(best_dist)});
+      tokens.push_back(static_cast<Token>(best_len << 16 | best_dist));
       // Register all covered positions so later matches can reference them.
-      for (std::size_t j = i; j < i + best_len && j + kMinMatch <= in.size(); ++j)
+      for (std::size_t j = i; j < i + best_len && j + kMinMatch <= n; ++j)
         insert(j);
       i += best_len;
     } else {
       if (can_hash) insert(i);
-      tokens.push_back({false, in[i], 0, 0});
+      tokens.push_back(in[i]);
       ++i;
     }
   }
@@ -136,12 +202,12 @@ std::vector<byte_t> deflate_compress(std::span<const byte_t> in) {
   // Histogram both alphabets.
   std::vector<std::uint64_t> lit_freq(kLitLenAlphabet, 0);
   std::vector<std::uint64_t> dist_freq(kDistAlphabet, 0);
-  for (const Token& t : tokens) {
-    if (t.is_match) {
-      ++lit_freq[257 + length_code(t.length)];
-      ++dist_freq[dist_code(t.distance)];
+  for (const Token t : tokens) {
+    if (t >= kMatchFlag) {
+      ++lit_freq[257 + kLengthCodeOf[t >> 16]];
+      ++dist_freq[dist_code(t & 0xffff)];
     } else {
-      ++lit_freq[t.literal];
+      ++lit_freq[t];
     }
   }
   ++lit_freq[kEob];
@@ -158,16 +224,18 @@ std::vector<byte_t> deflate_compress(std::span<const byte_t> in) {
   write_code_lengths(out, dist_lengths);
 
   BitWriter bw;
-  for (const Token& t : tokens) {
-    if (t.is_match) {
-      const unsigned lc = length_code(t.length);
+  for (const Token t : tokens) {
+    if (t >= kMatchFlag) {
+      const std::uint32_t len = t >> 16;
+      const std::uint32_t dist = t & 0xffff;
+      const unsigned lc = kLengthCodeOf[len];
       lit_enc.encode(bw, 257 + lc);
-      bw.write_bits(t.length - kLengthCodes[lc].base, kLengthCodes[lc].extra_bits);
-      const unsigned dc = dist_code(t.distance);
+      bw.write_bits(len - kLengthCodes[lc].base, kLengthCodes[lc].extra_bits);
+      const unsigned dc = dist_code(dist);
       dist_enc.encode(bw, dc);
-      bw.write_bits(t.distance - kDistCodes[dc].base, kDistCodes[dc].extra_bits);
+      bw.write_bits(dist - kDistCodes[dc].base, kDistCodes[dc].extra_bits);
     } else {
-      lit_enc.encode(bw, t.literal);
+      lit_enc.encode(bw, t);
     }
   }
   lit_enc.encode(bw, kEob);
@@ -186,21 +254,17 @@ std::vector<byte_t> deflate_compress(std::span<const byte_t> in) {
   return std::move(out).take();
 }
 
-std::vector<byte_t> deflate_decompress(std::span<const byte_t> in,
-                                       std::size_t expected_size) {
+void deflate_decompress(std::span<const byte_t> in, std::span<byte_t> out) {
   ByteReader r(in);
   const auto format = r.get<byte_t>();
   const auto orig_size = r.get<std::uint64_t>();
-  if (orig_size != expected_size)
+  if (orig_size != out.size())
     throw corrupt_stream_error("deflate: size mismatch");
 
-  std::vector<byte_t> out;
-  out.reserve(expected_size);
-
   if (format == kFormatStored) {
-    const auto bytes = r.get_bytes(expected_size);
-    out.assign(bytes.begin(), bytes.end());
-    return out;
+    const auto bytes = r.get_bytes(out.size());
+    if (!bytes.empty()) std::memcpy(out.data(), bytes.data(), bytes.size());
+    return;
   }
   if (format != kFormatHuffman)
     throw corrupt_stream_error("deflate: unknown format byte");
@@ -212,34 +276,42 @@ std::vector<byte_t> deflate_decompress(std::span<const byte_t> in,
   const auto payload_size = r.get<std::uint64_t>();
   BitReader br(r.get_bytes(payload_size));
 
+  byte_t* const dst = out.data();
+  const std::size_t cap = out.size();
+  std::size_t pos = 0;
   for (;;) {
     const std::uint32_t sym = lit_dec.decode(br);
-    if (sym == kEob) break;
     if (sym < 256) {
-      out.push_back(static_cast<byte_t>(sym));
-    } else {
-      const unsigned lc = sym - 257;
-      if (lc >= kLengthCodes.size())
-        throw corrupt_stream_error("deflate: bad length symbol");
-      const std::size_t len =
-          kLengthCodes[lc].base +
-          br.read_bits(kLengthCodes[lc].extra_bits);
-      const unsigned dc = dist_dec.decode(br);
-      if (dc >= kDistCodes.size())
-        throw corrupt_stream_error("deflate: bad distance symbol");
-      const std::size_t dist =
-          kDistCodes[dc].base + br.read_bits(kDistCodes[dc].extra_bits);
-      if (dist == 0 || dist > out.size())
-        throw corrupt_stream_error("deflate: distance out of window");
-      for (std::size_t k = 0; k < len; ++k)
-        out.push_back(out[out.size() - dist]);
+      if (pos == cap)
+        throw corrupt_stream_error("deflate: output exceeds expected size");
+      dst[pos++] = static_cast<byte_t>(sym);
+      continue;
     }
-    if (out.size() > expected_size)
+    if (sym == kEob) break;
+    const unsigned lc = sym - 257;
+    if (lc >= kLengthCodes.size())
+      throw corrupt_stream_error("deflate: bad length symbol");
+    const std::size_t len =
+        kLengthCodes[lc].base + br.read_bits(kLengthCodes[lc].extra_bits);
+    const unsigned dc = dist_dec.decode(br);
+    if (dc >= kDistCodes.size())
+      throw corrupt_stream_error("deflate: bad distance symbol");
+    const std::size_t dist =
+        kDistCodes[dc].base + br.read_bits(kDistCodes[dc].extra_bits);
+    if (dist > pos)
+      throw corrupt_stream_error("deflate: distance out of window");
+    if (len > cap - pos)
       throw corrupt_stream_error("deflate: output exceeds expected size");
+    byte_t* const to = dst + pos;
+    const byte_t* const from = to - dist;
+    if (dist >= len) {
+      std::memcpy(to, from, len);
+    } else {
+      for (std::size_t k = 0; k < len; ++k) to[k] = from[k];
+    }
+    pos += len;
   }
-  if (out.size() != expected_size)
-    throw corrupt_stream_error("deflate: output size mismatch");
-  return out;
+  if (pos != cap) throw corrupt_stream_error("deflate: output size mismatch");
 }
 
 }  // namespace lck

@@ -79,10 +79,15 @@ void DeflateCompressor::decompress(std::span<const byte_t> stream,
   if (n != out.size()) throw corrupt_stream_error("deflate: size mismatch");
   const bool shuffled = in.get<std::uint8_t>() != 0;
   const auto enc_size = in.get<std::uint64_t>();
-  auto decoded =
-      deflate_decompress(in.get_bytes(enc_size), n * sizeof(double));
-  if (shuffled) decoded = unshuffle_bytes(decoded, sizeof(double));
-  bytes_to_doubles(decoded, out);
+  const auto enc = in.get_bytes(enc_size);
+  if (!shuffled) {
+    deflate_decompress(enc, {reinterpret_cast<byte_t*>(out.data()),
+                             out.size() * sizeof(double)});
+    return;
+  }
+  std::vector<byte_t> decoded(n * sizeof(double));
+  deflate_decompress(enc, decoded);
+  bytes_to_doubles(unshuffle_bytes(decoded, sizeof(double)), out);
 }
 
 std::vector<byte_t> Lz4Compressor::compress(std::span<const double> data) const {

@@ -142,8 +142,8 @@ void TruncationCompressor::decompress(std::span<const byte_t> stream,
   if (n != out.size()) throw corrupt_stream_error("trunc: size mismatch");
   (void)in.get<double>();
   const auto packed_size = in.get<std::uint64_t>();
-  const auto shuffled =
-      deflate_decompress(in.get_bytes(packed_size), n * sizeof(double));
+  std::vector<byte_t> shuffled(n * sizeof(double));
+  deflate_decompress(in.get_bytes(packed_size), shuffled);
   const auto bytes = unshuffle_bytes(shuffled, sizeof(double));
   if (!bytes.empty()) std::memcpy(out.data(), bytes.data(), bytes.size());
 }
