@@ -30,14 +30,28 @@ IBlock forward_lift(const IBlock& q) noexcept {
   return {ss, ds, d0, d1};
 }
 
+// Two's-complement wrapping add/subtract. Equal to plain int64 arithmetic
+// whenever that does not overflow (every block the encoder writes), and
+// defined for the coefficients of a corrupt stream, which may overflow.
+std::int64_t wrap_add(std::int64_t x, std::int64_t y) noexcept {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(x) +
+                                   static_cast<std::uint64_t>(y));
+}
+
+std::int64_t wrap_sub(std::int64_t x, std::int64_t y) noexcept {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(x) -
+                                   static_cast<std::uint64_t>(y));
+}
+
 /// Exact inverse of forward_lift.
 IBlock inverse_lift(const IBlock& c) noexcept {
-  const std::int64_t s0 = c[0] + ((c[1] + 1) >> 1);
-  const std::int64_t s1 = s0 - c[1];
-  const std::int64_t a = s0 + ((c[2] + 1) >> 1);
-  const std::int64_t b = a - c[2];
-  const std::int64_t cc = s1 + ((c[3] + 1) >> 1);
-  const std::int64_t d = cc - c[3];
+  const auto half = [](std::int64_t x) { return wrap_add(x, 1) >> 1; };
+  const std::int64_t s0 = wrap_add(c[0], half(c[1]));
+  const std::int64_t s1 = wrap_sub(s0, c[1]);
+  const std::int64_t a = wrap_add(s0, half(c[2]));
+  const std::int64_t b = wrap_sub(a, c[2]);
+  const std::int64_t cc = wrap_add(s1, half(c[3]));
+  const std::int64_t d = wrap_sub(cc, c[3]);
   return {a, b, cc, d};
 }
 
