@@ -154,23 +154,25 @@ HuffmanDecoder::HuffmanDecoder(std::span<const std::uint8_t> lengths) {
     prev_count = groups_[len].count;
   }
 
-  // Shortest length first, and a filled entry is never overwritten: a
-  // prefix resolves at the first length whose canonical range holds it,
-  // as in the walk. Ranges use the walk's wrapping u32 arithmetic, so an
-  // over-subscribed set whose range wraps matches nothing at that length.
+  // Canonical ranges of successive lengths tile the code space in order,
+  // so no two overlap. Once a range reaches the end of the space (only an
+  // over-subscribed set gets there), every prefix resolves at or before
+  // that length: the walk never looks further, and the table stops there
+  // too, before the u32 wrap such sets can cause in first_code.
   table_.assign(std::size_t{1} << kTableBits, 0);
   for (unsigned len = 1; len <= std::min(max_len_, kTableBits); ++len) {
     const LengthGroup& g = groups_[len];
-    const std::uint32_t end = g.first_code + g.count;
-    if (g.count == 0 || end < g.first_code) continue;
+    const std::uint64_t end = std::uint64_t{g.first_code} + g.count;
     const std::uint64_t stop = std::min<std::uint64_t>(end, 1u << len);
     const unsigned shift = kTableBits - len;
     for (std::uint64_t c = g.first_code; c < stop; ++c) {
       const std::uint32_t entry =
           symbols_[g.first_index + (c - g.first_code)] << kLenBits | len;
-      for (std::uint64_t t = c << shift; t < (c + 1) << shift; ++t)
-        if (table_[t] == 0) table_[t] = entry;
+      std::fill(table_.begin() + static_cast<std::ptrdiff_t>(c << shift),
+                table_.begin() + static_cast<std::ptrdiff_t>((c + 1) << shift),
+                entry);
     }
+    if (end >= (1u << len)) break;
   }
 }
 
