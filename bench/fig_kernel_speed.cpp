@@ -253,7 +253,7 @@ int main(int argc, char** argv) {
     for (auto& c : codes)
       c = rng.uniform() < 0.9 ? 32768u
                               : static_cast<std::uint32_t>(rng.uniform() * 65536.0);
-    Pair pr{"histogram_4way", 0, 0, false};
+    Pair pr{"histogram_8way", 0, 0, false};
     pr.cpu_fused = time_cpu(
         [&] {
           const auto f = count_frequencies(codes, 65536);

@@ -89,7 +89,7 @@ void bm_block_compress(benchmark::State& state, const char* name) {
 #endif
 }
 
-/// The 4-way interleaved symbol histogram vs the naive single-array loop.
+/// The 8-way interleaved symbol histogram vs the naive single-array loop.
 /// Skewed input (most symbols equal) is the SZ common case and the worst
 /// case for a single histogram array's store-to-load dependency chain.
 void bm_histogram(benchmark::State& state, bool interleaved) {
@@ -113,7 +113,7 @@ void bm_histogram(benchmark::State& state, bool interleaved) {
                           static_cast<std::int64_t>(symbols.size()));
 }
 
-void bm_histogram_4way(benchmark::State& state) { bm_histogram(state, true); }
+void bm_histogram_8way(benchmark::State& state) { bm_histogram(state, true); }
 void bm_histogram_naive(benchmark::State& state) { bm_histogram(state, false); }
 
 /// Tiled byte shuffle (the truncation/deflate/lz4 pre-pass).
@@ -149,17 +149,49 @@ void bm_huffman_encode(benchmark::State& state) {
                           static_cast<std::int64_t>(symbols.size()));
 }
 
+/// Table-driven canonical Huffman decode of the bm_huffman_encode stream
+/// (SZ-like quantization codes: a 65536-symbol alphabet, mostly short codes
+/// with a tail longer than the decoder's first-level table).
+void bm_huffman_decode(benchmark::State& state) {
+  lck::Rng rng(9);
+  std::vector<std::uint64_t> freqs(65536, 0);
+  std::vector<std::uint32_t> symbols(1 << 16);
+  for (auto& s : symbols) {
+    s = 32768 + static_cast<std::uint32_t>(rng.normal(0.0, 40.0));
+    ++freqs[s];
+  }
+  const auto lengths = lck::huffman_code_lengths(freqs);
+  const lck::HuffmanEncoder enc(lengths);
+  lck::BitWriter bw;
+  for (const auto s : symbols) enc.encode(bw, s);
+  const auto payload = bw.finish();
+  const lck::HuffmanDecoder dec(lengths);
+  for (auto _ : state) {
+    lck::BitReader br(payload);
+    std::uint32_t sum = 0;
+    for (std::size_t i = 0; i < symbols.size(); ++i) sum += dec.decode(br);
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(symbols.size()));
+}
+
 }  // namespace
 
 BENCHMARK_CAPTURE(bm_compress, sz, "sz")->Arg(1 << 16)->Arg(1 << 20);
 BENCHMARK_CAPTURE(bm_compress, zfp, "zfp")->Arg(1 << 16)->Arg(1 << 20);
-BENCHMARK_CAPTURE(bm_compress, deflate, "deflate")->Arg(1 << 16);
+// 1 << 18 doubles is the 2 MiB vector of the resilient-solve benchmark's
+// 64^3 CG problem.
+BENCHMARK_CAPTURE(bm_compress, deflate, "deflate")->Arg(1 << 16)->Arg(1 << 18);
 BENCHMARK_CAPTURE(bm_compress, shuffle_rle, "shuffle-rle")->Arg(1 << 20);
 BENCHMARK_CAPTURE(bm_decompress, sz, "sz")->Arg(1 << 16)->Arg(1 << 20);
 BENCHMARK_CAPTURE(bm_decompress, zfp, "zfp")->Arg(1 << 16)->Arg(1 << 20);
-BENCHMARK_CAPTURE(bm_decompress, deflate, "deflate")->Arg(1 << 16);
+BENCHMARK_CAPTURE(bm_decompress, deflate, "deflate")
+    ->Arg(1 << 16)
+    ->Arg(1 << 18);
 BENCHMARK(bm_huffman_encode);
-BENCHMARK(bm_histogram_4way)->Arg(1 << 22);
+BENCHMARK(bm_huffman_decode);
+BENCHMARK(bm_histogram_8way)->Arg(1 << 22);
 BENCHMARK(bm_histogram_naive)->Arg(1 << 22);
 BENCHMARK(bm_shuffle)->Arg(1 << 16)->Arg(1 << 20);
 
