@@ -81,7 +81,8 @@ constexpr auto kDistCodeOf = [] {
 }();
 
 constexpr unsigned dist_code(std::size_t dist) {
-  return dist <= 256 ? kDistCodeOf[dist - 1] : kDistCodeOf[256 + ((dist - 1) >> 7)];
+  return dist <= 256 ? kDistCodeOf[dist - 1]
+                     : kDistCodeOf[256 + ((dist - 1) >> 7)];
 }
 
 static_assert([] {

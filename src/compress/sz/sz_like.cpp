@@ -278,7 +278,8 @@ void SzLikeCompressor::decompress(std::span<const byte_t> stream,
         if (zero_mask[i]) ++exact_entries;
       ExactArrayReader exact(in, exact_entries);
       const auto log_count = in.get<std::uint64_t>();
-      if (log_count > n) throw corrupt_stream_error("sz: implausible log count");
+      if (log_count > n)
+        throw corrupt_stream_error("sz: implausible log count");
       const auto logs = core_decompress(in, log_count);
 
       std::size_t li = 0;

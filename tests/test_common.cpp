@@ -212,7 +212,8 @@ TEST(BitIo, MixedWidthsRoundTripWithExactCounts) {
   std::size_t pos = 0;
   for (std::size_t k = 0; k < items.size(); ++k) {
     const auto [v, width] = items[k];
-    const std::uint64_t want = width == 0 ? 0 : v & (~std::uint64_t{0} >> (64 - width));
+    const std::uint64_t want =
+        width == 0 ? 0 : v & (~std::uint64_t{0} >> (64 - width));
     std::uint64_t got;
     if (width <= BitReader::kMaxPeekBits && k % 3 == 0) {
       got = r.peek(width);  // peek twice: it must not consume

@@ -284,7 +284,8 @@ TEST(HuffmanDecoder, MatchesBitSerialReferenceOnRandomLengthSets) {
                     lo + rng.uniform_index(kHuffmanMaxBits - lo + 1));
     for (int j = 0; j < 3; ++j) {
       SCOPED_TRACE(::testing::Message() << "trial " << trial << " j " << j);
-      expect_matches_reference(lengths, random_bits(rng, 1 + rng.uniform_index(64)));
+      expect_matches_reference(lengths,
+                               random_bits(rng, 1 + rng.uniform_index(64)));
     }
   }
 }

@@ -704,7 +704,7 @@ TEST(CompressionGoldens, HuffmanPayloadAndHistogram) {
     s = 256 + static_cast<std::uint32_t>(rng.normal(0.0, 30.0));
     ++freqs_naive[s];
   }
-  // 4-way partial histogram == naive loop-carried histogram.
+  // 8-way partial histogram == naive loop-carried histogram.
   const auto freqs = count_frequencies(symbols, 512);
   ASSERT_EQ(freqs.size(), freqs_naive.size());
   EXPECT_EQ(freqs, freqs_naive);
@@ -736,7 +736,8 @@ TEST(CompressionGoldens, HuffmanLongCodePayload) {
   Rng rng(11);
   std::vector<std::uint32_t> symbols(20000);
   for (auto& s : symbols)
-    s = rng.uniform() < 0.5 ? 39u : static_cast<std::uint32_t>(rng.uniform_index(40));
+    s = rng.uniform() < 0.5 ? 39u
+                            : static_cast<std::uint32_t>(rng.uniform_index(40));
   const HuffmanEncoder enc(lengths);
   BitWriter bw;
   for (const auto s : symbols) enc.encode(bw, s);
