@@ -721,8 +721,9 @@ TEST(CompressionGoldens, HuffmanPayloadAndHistogram) {
 
 TEST(CompressionGoldens, HuffmanLongCodePayload) {
   // Fibonacci frequencies build a maximally deep tree that the length
-  // limiter flattens to kHuffmanMaxBits, so about half of this stream is
-  // coded with lengths far past an 11-bit first-level decode table.
+  // limiter flattens to 20-bit codes. Half the stream is drawn uniformly
+  // over the alphabet, so most of those symbols have codes longer than an
+  // 11-bit first-level decode table.
   std::vector<std::uint64_t> freqs(40);
   std::uint64_t a = 1, b = 1;
   for (auto& f : freqs) {
