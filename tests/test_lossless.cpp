@@ -3,9 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 
+#include "common/crc32.hpp"
 #include "common/rng.hpp"
 #include "compress/compressor.hpp"
 #include "compress/lossless/byte_codecs.hpp"
@@ -143,6 +145,33 @@ TEST(Deflate, LongRangeMatchesWithinWindow) {
   EXPECT_EQ(inflate(enc, in.size()), in);
   // The second copy of the block should cost almost nothing.
   EXPECT_LT(enc.size(), in.size() / 2);
+}
+
+TEST(Deflate, MatchChoiceIsFirstLongestAlongTheChain) {
+  // The hash chain is walked newest first and the first strictly longest
+  // match wins: at 9000 the newer copy (5000, differs at byte 210) loses
+  // to the older full copy (1000); at 29000 the two copies that match 200
+  // bytes tie and the newer one (25000) wins. Size and CRC were recorded
+  // with the byte-at-a-time search this one replaced.
+  Rng rng(41);
+  std::vector<byte_t> in(32000);
+  for (auto& b : in) b = static_cast<byte_t>(rng());
+  const std::vector<byte_t> block(in.begin() + 1000, in.begin() + 1300);
+  const auto place = [&](std::size_t at, std::vector<std::size_t> flips) {
+    auto copy = block;
+    for (const auto f : flips) copy[f] ^= 0xff;
+    std::copy(copy.begin(), copy.end(),
+              in.begin() + static_cast<std::ptrdiff_t>(at));
+  };
+  place(5000, {210});
+  place(9000, {});
+  place(21000, {100});
+  place(25000, {100});
+  place(29000, {100, 200});
+  const auto enc = deflate_compress(in);
+  EXPECT_EQ(enc.size(), 30875u);
+  EXPECT_EQ(crc32(enc), 0x3ad23c91u);
+  EXPECT_EQ(inflate(enc, in.size()), in);
 }
 
 TEST(Deflate, SizeMismatchThrows) {
