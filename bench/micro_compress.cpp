@@ -1,6 +1,6 @@
 /// google-benchmark microbenchmarks for the compression stack: throughput
 /// of each compressor on solver-like data, the parallel block pipeline's
-/// thread scaling, plus the Huffman core.
+/// thread scaling, plus the Huffman core and the CRCs.
 
 #include <benchmark/benchmark.h>
 
@@ -8,6 +8,8 @@
 #include <span>
 #include <string>
 
+#include "ckpt/chunk/chunk_hash.hpp"
+#include "common/crc32.hpp"
 #include "common/rng.hpp"
 #include "compress/block_compressor.hpp"
 #include "compress/compressor.hpp"
@@ -176,15 +178,41 @@ void bm_huffman_decode(benchmark::State& state) {
                           static_cast<std::int64_t>(symbols.size()));
 }
 
+/// Byte-wise-equivalent slicing-by-8 CRCs over 4 MiB of solver-like
+/// doubles: frame CRCs on write and read, delta chunk hashes and dedup keys.
+template <typename Crc>
+void bm_crc(benchmark::State& state) {
+  const auto data = solver_like(static_cast<std::size_t>(state.range(0)));
+  const std::span<const lck::byte_t> bytes{
+      reinterpret_cast<const lck::byte_t*>(data.data()), data.size() * 8};
+  for (auto _ : state) {
+    Crc crc;
+    crc.update(bytes);
+    benchmark::DoNotOptimize(crc.value());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(bytes.size()));
+}
+
+void bm_crc32(benchmark::State& state) { bm_crc<lck::Crc32>(state); }
+void bm_crc64(benchmark::State& state) { bm_crc<lck::Crc64>(state); }
+
 }  // namespace
 
-BENCHMARK_CAPTURE(bm_compress, sz, "sz")->Arg(1 << 16)->Arg(1 << 20);
+// 1 << 12 doubles is the delta checkpoint's chunk: one SZ call per chunk.
+BENCHMARK_CAPTURE(bm_compress, sz, "sz")
+    ->Arg(1 << 12)
+    ->Arg(1 << 16)
+    ->Arg(1 << 20);
 BENCHMARK_CAPTURE(bm_compress, zfp, "zfp")->Arg(1 << 16)->Arg(1 << 20);
 // 1 << 18 doubles is the 2 MiB vector of the resilient-solve benchmark's
 // 64^3 CG problem.
 BENCHMARK_CAPTURE(bm_compress, deflate, "deflate")->Arg(1 << 16)->Arg(1 << 18);
 BENCHMARK_CAPTURE(bm_compress, shuffle_rle, "shuffle-rle")->Arg(1 << 20);
-BENCHMARK_CAPTURE(bm_decompress, sz, "sz")->Arg(1 << 16)->Arg(1 << 20);
+BENCHMARK_CAPTURE(bm_decompress, sz, "sz")
+    ->Arg(1 << 12)
+    ->Arg(1 << 16)
+    ->Arg(1 << 20);
 BENCHMARK_CAPTURE(bm_decompress, zfp, "zfp")->Arg(1 << 16)->Arg(1 << 20);
 BENCHMARK_CAPTURE(bm_decompress, deflate, "deflate")
     ->Arg(1 << 16)
@@ -194,6 +222,8 @@ BENCHMARK(bm_huffman_decode);
 BENCHMARK(bm_histogram_8way)->Arg(1 << 22);
 BENCHMARK(bm_histogram_naive)->Arg(1 << 22);
 BENCHMARK(bm_shuffle)->Arg(1 << 16)->Arg(1 << 20);
+BENCHMARK(bm_crc32)->Arg(1 << 19);
+BENCHMARK(bm_crc64)->Arg(1 << 19);
 
 // Parallel block-pipeline scaling: 8M-element vector (the paper's per-rank
 // dynamic state is of this order) on 1/2/4/8 threads.

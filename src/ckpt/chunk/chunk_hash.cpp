@@ -1,28 +1,14 @@
 #include "ckpt/chunk/chunk_hash.hpp"
 
-#include <array>
+#include "common/crc_slicing.hpp"
 
 namespace lck {
-namespace {
 
-std::array<std::uint64_t, 256> make_table() noexcept {
+void Crc64::update(std::span<const byte_t> data) noexcept {
   // Reflected form of the ECMA-182 polynomial 0x42F0E1EBA9EA3693.
-  constexpr std::uint64_t kPoly = 0xc96c5795d7870f42ull;
-  std::array<std::uint64_t, 256> t{};
-  for (std::uint64_t i = 0; i < 256; ++i) {
-    std::uint64_t c = i;
-    for (int k = 0; k < 8; ++k)
-      c = (c & 1ull) ? (kPoly ^ (c >> 1)) : (c >> 1);
-    t[i] = c;
-  }
-  return t;
-}
-
-}  // namespace
-
-const std::uint64_t* Crc64::table() noexcept {
-  static const auto t = make_table();
-  return t.data();
+  static const auto tables =
+      make_crc_tables<std::uint64_t>(0xc96c5795d7870f42ull);
+  state_ = crc_update(tables, state_, data);
 }
 
 std::uint64_t crc64(std::span<const byte_t> data) noexcept {

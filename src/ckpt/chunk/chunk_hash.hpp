@@ -21,17 +21,15 @@ namespace lck {
 /// init/xorout all-ones).
 class Crc64 {
  public:
-  void update(std::span<const byte_t> data) noexcept {
-    for (const byte_t b : data)
-      state_ = table()[(state_ ^ b) & 0xffu] ^ (state_ >> 8);
-  }
+  /// Fold `data` into the running hash (slicing-by-8, see
+  /// common/crc_slicing.hpp).
+  void update(std::span<const byte_t> data) noexcept;
 
   [[nodiscard]] std::uint64_t value() const noexcept {
     return state_ ^ 0xffffffffffffffffull;
   }
 
  private:
-  static const std::uint64_t* table() noexcept;
   std::uint64_t state_ = 0xffffffffffffffffull;
 };
 

@@ -1,26 +1,12 @@
 #include "common/crc32.hpp"
 
-#include <array>
+#include "common/crc_slicing.hpp"
 
 namespace lck {
-namespace {
 
-std::array<std::uint32_t, 256> make_table() noexcept {
-  std::array<std::uint32_t, 256> t{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = i;
-    for (int k = 0; k < 8; ++k)
-      c = (c & 1u) ? (0xedb88320u ^ (c >> 1)) : (c >> 1);
-    t[i] = c;
-  }
-  return t;
-}
-
-}  // namespace
-
-const std::uint32_t* Crc32::table() noexcept {
-  static const auto t = make_table();
-  return t.data();
+void Crc32::update(std::span<const byte_t> data) noexcept {
+  static const auto tables = make_crc_tables<std::uint32_t>(0xedb88320u);
+  state_ = crc_update(tables, state_, data);
 }
 
 std::uint32_t crc32(std::span<const byte_t> data) noexcept {

@@ -13,17 +13,14 @@ namespace lck {
 /// Incremental CRC-32 computation.
 class Crc32 {
  public:
-  /// Fold `data` into the running checksum.
-  void update(std::span<const byte_t> data) noexcept {
-    for (const byte_t b : data)
-      state_ = table()[(state_ ^ b) & 0xffu] ^ (state_ >> 8);
-  }
+  /// Fold `data` into the running checksum (slicing-by-8, see
+  /// crc_slicing.hpp).
+  void update(std::span<const byte_t> data) noexcept;
 
   /// Final checksum value.
   [[nodiscard]] std::uint32_t value() const noexcept { return state_ ^ 0xffffffffu; }
 
  private:
-  static const std::uint32_t* table() noexcept;
   std::uint32_t state_ = 0xffffffffu;
 };
 

@@ -10,6 +10,13 @@ namespace lck {
 
 std::vector<std::uint64_t> count_frequencies(
     std::span<const std::uint32_t> symbols, std::size_t alphabet) {
+  std::vector<std::uint64_t> freq(alphabet, 0);
+  // Clearing and merging the partials costs about as much as counting as
+  // many symbols, so a stream shorter than 8 × alphabet counts directly.
+  if (symbols.size() < 8 * alphabet) {
+    for (const auto s : symbols) ++freq[s];
+    return freq;
+  }
   // Eight interleaved partial histograms via the dispatched kernel table:
   // consecutive symbols update different counter arrays, so equal
   // neighbouring symbols (the common case in quantization-code streams) no
@@ -19,7 +26,6 @@ std::vector<std::uint64_t> count_frequencies(
   const auto& o = simd::ops();
   std::vector<std::uint64_t> part(8 * alphabet, 0);
   o.hist8(symbols.data(), symbols.size(), part.data(), alphabet);
-  std::vector<std::uint64_t> freq(alphabet, 0);
   o.hist8_merge(part.data(), alphabet, freq.data());
   return freq;
 }
@@ -36,8 +42,11 @@ std::vector<std::uint8_t> build_lengths_once(
     std::int32_t left, right;  // -1 for leaves
     std::uint32_t symbol;
   };
+  const std::size_t used =
+      n - static_cast<std::size_t>(
+              std::count(freqs.begin(), freqs.end(), std::uint64_t{0}));
   std::vector<Node> nodes;
-  nodes.reserve(2 * n);
+  nodes.reserve(2 * used);  // leaves, then one internal node per merge
   using Entry = std::pair<std::uint64_t, std::uint32_t>;  // (freq, node idx)
   std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
 
@@ -90,7 +99,9 @@ std::vector<std::uint8_t> build_lengths_once(
 
 std::vector<std::uint8_t> huffman_code_lengths(
     std::span<const std::uint64_t> freqs) {
-  std::vector<std::uint64_t> f(freqs.begin(), freqs.end());
+  if (freqs.empty()) return {};
+  std::span<const std::uint64_t> f = freqs;
+  std::vector<std::uint64_t> flattened;  // copied only if a code is too long
   for (int attempt = 0; attempt < 64; ++attempt) {
     auto lengths = build_lengths_once(f);
     const auto max_len =
@@ -98,8 +109,10 @@ std::vector<std::uint8_t> huffman_code_lengths(
     if (max_len <= kHuffmanMaxBits) return lengths;
     // Flatten the distribution and retry: halving frequencies (keeping them
     // nonzero) reduces the maximum depth geometrically.
-    for (auto& x : f)
+    if (flattened.empty()) flattened.assign(freqs.begin(), freqs.end());
+    for (auto& x : flattened)
       if (x > 0) x = (x + 1) / 2;
+    f = flattened;
   }
   throw corrupt_stream_error("huffman: failed to limit code length");
 }
@@ -120,12 +133,16 @@ HuffmanEncoder::HuffmanEncoder(std::span<const std::uint8_t> lengths)
     if (lengths_[s] != 0) codes_[s] = next[lengths_[s]]++;
 }
 
-HuffmanDecoder::HuffmanDecoder(std::span<const std::uint8_t> lengths) {
+HuffmanDecoder::HuffmanDecoder(std::span<const std::uint8_t> lengths,
+                               std::uint32_t first) {
   for (const auto l : lengths)
     max_len_ = std::max<unsigned>(max_len_, l);
   if (max_len_ > kHuffmanMaxBits)
     throw corrupt_stream_error("huffman: code length exceeds limit");
-  if (lengths.size() > (std::size_t{1} << (32 - kLenBits)))
+  // Table entries hold symbol << kLenBits, so the top symbol must fit.
+  const std::uint64_t top =
+      lengths.size() < 2 ? 0 : std::uint64_t{first} + lengths.size() - 2;
+  if (top >= (std::uint64_t{1} << (32 - kLenBits)))
     throw corrupt_stream_error("huffman: alphabet too large");
   groups_.resize(max_len_ + 1);
 
@@ -144,7 +161,7 @@ HuffmanDecoder::HuffmanDecoder(std::span<const std::uint8_t> lengths) {
     const unsigned l = lengths[s];
     if (l != 0)
       symbols_[groups_[l].first_index + fill[l]++] =
-          static_cast<std::uint32_t>(s);
+          s == 0 ? 0 : first + static_cast<std::uint32_t>(s - 1);
   }
   std::uint32_t code = 0;
   std::uint32_t prev_count = 0;
@@ -194,32 +211,43 @@ std::uint32_t HuffmanDecoder::decode_slow(BitReader& br,
   throw corrupt_stream_error("huffman: invalid code");
 }
 
-void write_code_lengths(ByteWriter& out, std::span<const std::uint8_t> lengths) {
+void write_code_lengths(ByteWriter& out, std::span<const std::uint8_t> lengths,
+                        std::size_t alphabet, std::uint32_t first) {
   // Encoding: sequence of tokens. 0x00 LL LL = run of zeros (u16 count);
-  // otherwise the byte is the length itself (1..kHuffmanMaxBits).
-  out.put(static_cast<std::uint32_t>(lengths.size()));
-  std::size_t i = 0;
-  while (i < lengths.size()) {
-    if (lengths[i] == 0) {
-      std::size_t run = 0;
-      while (i + run < lengths.size() && lengths[i + run] == 0 && run < 0xffff)
-        ++run;
+  // otherwise the byte is the length itself (1..kHuffmanMaxBits). A maximal
+  // zero run is cut into 0xffff-long tokens plus the remainder.
+  out.put(static_cast<std::uint32_t>(alphabet));
+  std::size_t zeros = 0;  // pending run
+  const auto flush = [&] {
+    while (zeros > 0) {
+      const auto run = std::min<std::size_t>(zeros, 0xffff);
       out.put(static_cast<std::uint8_t>(0));
       out.put(static_cast<std::uint16_t>(run));
-      i += run;
+      zeros -= run;
+    }
+  };
+  std::size_t next = 0;  // first alphabet symbol not yet accounted for
+  for (std::size_t i = 0; i < lengths.size(); ++i) {
+    const std::size_t symbol = i == 0 ? 0 : first + i - 1;
+    zeros += symbol - next;  // symbols between the window's two parts
+    next = symbol + 1;
+    if (lengths[i] == 0) {
+      ++zeros;
     } else {
+      flush();
       out.put(lengths[i]);
-      ++i;
     }
   }
+  zeros += alphabet - next;
+  flush();
 }
 
-std::vector<std::uint8_t> read_code_lengths(ByteReader& in,
-                                            std::size_t alphabet) {
+CodeLengths read_code_lengths(ByteReader& in, std::size_t alphabet) {
   const auto n = in.get<std::uint32_t>();
   if (n != alphabet)
     throw corrupt_stream_error("huffman: alphabet size mismatch");
-  std::vector<std::uint8_t> lengths(n, 0);
+  CodeLengths table;
+  if (n > 0) table.lengths.assign(1, 0);
   std::size_t i = 0;
   while (i < n) {
     const auto b = in.get<std::uint8_t>();
@@ -230,10 +258,20 @@ std::vector<std::uint8_t> read_code_lengths(ByteReader& in,
     } else {
       if (b > kHuffmanMaxBits)
         throw corrupt_stream_error("huffman: stored length too large");
-      lengths[i++] = b;
+      // The window grows only up to a nonzero length, so zeros past the
+      // last used symbol are never stored.
+      if (i == 0) {
+        table.lengths[0] = b;
+      } else {
+        if (table.lengths.size() == 1)
+          table.first = static_cast<std::uint32_t>(i);
+        table.lengths.resize(i - table.first + 2, 0);
+        table.lengths.back() = b;
+      }
+      ++i;
     }
   }
-  return lengths;
+  return table;
 }
 
 }  // namespace lck

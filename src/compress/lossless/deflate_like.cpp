@@ -221,8 +221,8 @@ std::vector<byte_t> deflate_compress(std::span<const byte_t> in) {
   ByteWriter out;
   out.put(kFormatHuffman);
   out.put(static_cast<std::uint64_t>(in.size()));
-  write_code_lengths(out, lit_lengths);
-  write_code_lengths(out, dist_lengths);
+  write_code_lengths(out, lit_lengths, kLitLenAlphabet);
+  write_code_lengths(out, dist_lengths, kDistAlphabet);
 
   BitWriter bw;
   for (const Token t : tokens) {
@@ -272,8 +272,8 @@ void deflate_decompress(std::span<const byte_t> in, std::span<byte_t> out) {
 
   const auto lit_lengths = read_code_lengths(r, kLitLenAlphabet);
   const auto dist_lengths = read_code_lengths(r, kDistAlphabet);
-  const HuffmanDecoder lit_dec(lit_lengths);
-  const HuffmanDecoder dist_dec(dist_lengths);
+  const HuffmanDecoder lit_dec(lit_lengths.lengths, lit_lengths.first);
+  const HuffmanDecoder dist_dec(dist_lengths.lengths, dist_lengths.first);
   const auto payload_size = r.get<std::uint64_t>();
   BitReader br(r.get_bytes(payload_size));
 

@@ -126,14 +126,26 @@ void core_compress(ByteWriter& out, std::span<const double> data, double eb) {
                     block_outliers.end());
   }
 
-  const auto freq = count_frequencies(codes, kAlphabet);
+  // Code the window {0} ∪ [lo, hi] of the alphabet the codes fall in, so
+  // the Huffman setup is sized to the chunk's band (see huffman.hpp): code
+  // c ≥ lo becomes window index c − lo + 1, and 0 stays 0.
+  std::uint32_t lo_minus_1 = kAlphabet;  // c − 1 wraps for c = 0
+  std::uint32_t hi = 0;
+  for (const auto c : codes) {
+    lo_minus_1 = std::min(lo_minus_1, c - 1);
+    hi = std::max(hi, c);
+  }
+  const std::uint32_t first = hi == 0 ? 1 : lo_minus_1 + 1;
+  const std::uint32_t shift = first - 1;
+  for (auto& c : codes) c -= c == 0 ? 0 : shift;
+  const auto freq = count_frequencies(codes, hi == 0 ? 1 : hi - shift + 1);
   const auto lengths = huffman_code_lengths(freq);
   const HuffmanEncoder enc(lengths);
 
   out.put(eb);
   out.put(static_cast<std::uint64_t>(n));
   out.put(kRadius);
-  write_code_lengths(out, lengths);
+  write_code_lengths(out, lengths, kAlphabet, first);
   out.put(static_cast<std::uint64_t>(outliers.size()));
   out.put_array(outliers.data(), outliers.size());
 
@@ -152,8 +164,8 @@ std::vector<double> core_decompress(ByteReader& in, std::size_t expect_n) {
   if (n != expect_n) throw corrupt_stream_error("sz: element count mismatch");
   if (radius != kRadius) throw corrupt_stream_error("sz: radius mismatch");
 
-  const auto lengths = read_code_lengths(in, kAlphabet);
-  const HuffmanDecoder dec(lengths);
+  const auto table = read_code_lengths(in, kAlphabet);
+  const HuffmanDecoder dec(table.lengths, table.first);
   const auto outlier_count = in.get<std::uint64_t>();
   // Check before sizing the buffer: a corrupt count must not reach the
   // allocator (std::bad_alloc is not a corrupt_stream_error).

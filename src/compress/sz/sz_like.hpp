@@ -12,7 +12,12 @@
 ///  2. Error-bounded linear quantization of the prediction residual into
 ///     2·radius bins (code 0 reserved for unpredictable points, which are
 ///     stored verbatim).
-///  3. Canonical Huffman coding of the quantization codes.
+///  3. Canonical Huffman coding of the quantization codes. The coder is set
+///     up over {0} ∪ [lo, hi], the outlier code plus the band of codes the
+///     input produced, not over all 2·radius codes, so a 4,096-element
+///     delta chunk pays for the few hundred codes it uses. The stream still
+///     carries the code lengths of all 65,536 codes, and every byte equals
+///     that of a full-alphabet setup (see huffman.hpp for why).
 ///
 /// Error-bound modes (ErrorBound::Mode):
 ///  - kAbsolute: |x−x'| ≤ eb directly on the quantizer.

@@ -3,9 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <numeric>
 
+#include "ckpt/chunk/chunk_hash.hpp"
 #include "common/bit_io.hpp"
 #include "common/byte_buffer.hpp"
 #include "common/crc32.hpp"
@@ -14,6 +16,7 @@
 #include "parallel/parallel_for.hpp"
 #include "parallel/partitioner.hpp"
 #include "sparse/vector_ops.hpp"
+#include "support/reference_crc.hpp"
 
 namespace lck {
 namespace {
@@ -333,6 +336,48 @@ TEST(Crc32, DetectsSingleBitFlip) {
   const auto before = crc32(data);
   data[17] ^= 0x04;
   EXPECT_NE(before, crc32(data));
+}
+
+TEST(Crc, KnownAnswers) {
+  const char* s = "123456789";
+  const std::span<const byte_t> data{reinterpret_cast<const byte_t*>(s), 9};
+  EXPECT_EQ(crc32(data), 0xcbf43926u);
+  EXPECT_EQ(crc64(data), 0x995dc9bbdf1939faull);
+  EXPECT_EQ(reference_crc<std::uint32_t>(data, 0xedb88320u), 0xcbf43926u);
+  EXPECT_EQ(reference_crc<std::uint64_t>(data, 0xc96c5795d7870f42ull),
+            0x995dc9bbdf1939faull);
+}
+
+TEST(Crc, SlicedUpdatesEqualTheByteWiseReferenceAtEverySplit) {
+  // Every split offset 0..64 of every length 0..72, then random lengths
+  // with random splits, each from every alignment of the buffer start.
+  std::vector<byte_t> buf(6000);
+  Rng rng(41);
+  for (auto& b : buf) b = static_cast<byte_t>(rng());
+  const auto check = [&](std::size_t align, std::size_t len,
+                         std::size_t split) {
+    const std::span<const byte_t> data{buf.data() + align, len};
+    Crc32 c32;
+    Crc64 c64;
+    c32.update(data.first(split));
+    c32.update(data.subspan(split));
+    c64.update(data.first(split));
+    c64.update(data.subspan(split));
+    ASSERT_EQ(c32.value(), reference_crc<std::uint32_t>(data, 0xedb88320u))
+        << "align " << align << " len " << len << " split " << split;
+    ASSERT_EQ(c64.value(),
+              reference_crc<std::uint64_t>(data, 0xc96c5795d7870f42ull))
+        << "align " << align << " len " << len << " split " << split;
+  };
+  for (std::size_t align = 0; align < 8; ++align)
+    for (std::size_t len = 0; len <= 72; ++len)
+      for (std::size_t split = 0; split <= std::min<std::size_t>(len, 64);
+           ++split)
+        check(align, len, split);
+  for (int k = 0; k < 200; ++k) {
+    const std::size_t len = rng.uniform_index(buf.size() - 8);
+    check(rng.uniform_index(8), len, rng.uniform_index(len + 1));
+  }
 }
 
 TEST(Rng, DeterministicFromSeed) {

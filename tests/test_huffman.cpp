@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <numeric>
 #include <string>
@@ -34,6 +35,48 @@ std::vector<std::uint32_t> roundtrip(std::span<const std::uint8_t> lengths,
   out.reserve(symbols.size());
   for (std::size_t i = 0; i < symbols.size(); ++i) out.push_back(dec.decode(br));
   return out;
+}
+
+/// Dense lengths of all `alphabet` symbols from a window.
+std::vector<std::uint8_t> expand(const CodeLengths& t, std::size_t alphabet) {
+  std::vector<std::uint8_t> dense(alphabet, 0);
+  for (std::size_t i = 0; i < t.lengths.size(); ++i)
+    dense[i == 0 ? 0 : t.first + i - 1] = t.lengths[i];
+  return dense;
+}
+
+/// Symbol 0 and the first and last symbols above it with a nonzero entry
+/// (first = 1, last = 0 when there is none).
+struct Window {
+  std::size_t first = 1, last = 0;
+  [[nodiscard]] std::size_t size() const { return last + 2 - first; }
+};
+
+template <typename T>
+Window window_of(const std::vector<T>& dense) {
+  Window w;
+  for (std::size_t s = dense.size(); s-- > 1;)
+    if (dense[s] != 0) {
+      if (w.last == 0) w.last = s;
+      w.first = s;
+    }
+  if (w.last == 0) w.first = 1;
+  return w;
+}
+
+/// Entries {0} ∪ [w.first, w.last] of `dense`.
+template <typename T>
+std::vector<T> slice(const std::vector<T>& dense, const Window& w) {
+  if (dense.empty()) return {};
+  std::vector<T> out{dense[0]};
+  if (w.last != 0)
+    out.insert(out.end(), dense.begin() + static_cast<std::ptrdiff_t>(w.first),
+               dense.begin() + static_cast<std::ptrdiff_t>(w.last + 1));
+  return out;
+}
+
+TEST(Huffman, EmptyFrequenciesGiveEmptyLengths) {
+  EXPECT_TRUE(huffman_code_lengths({}).empty());
 }
 
 TEST(Huffman, LengthsSatisfyKraft) {
@@ -132,12 +175,14 @@ TEST(Huffman, CodeLengthSerializationRoundTrip) {
   const auto lengths = huffman_code_lengths(freqs);
 
   ByteWriter w;
-  write_code_lengths(w, lengths);
+  write_code_lengths(w, lengths, lengths.size());
   const auto buf = std::move(w).take();
   ByteReader r(buf);
   const auto restored = read_code_lengths(r, lengths.size());
-  EXPECT_EQ(std::vector<std::uint8_t>(lengths.begin(), lengths.end()),
-            restored);
+  // Symbol 0 plus the window from the lowest to the highest used symbol.
+  EXPECT_EQ(restored.first, 7u);
+  EXPECT_EQ(restored.lengths.size(), 299u - 7u + 2u);
+  EXPECT_EQ(expand(restored, lengths.size()), lengths);
 }
 
 TEST(Huffman, SerializationZeroRunsAreCompact) {
@@ -149,7 +194,7 @@ TEST(Huffman, SerializationZeroRunsAreCompact) {
   freqs[65535] = 2;
   const auto lengths = huffman_code_lengths(freqs);
   ByteWriter w;
-  write_code_lengths(w, lengths);
+  write_code_lengths(w, lengths, lengths.size());
   EXPECT_LT(w.size(), 64u);
 }
 
@@ -157,10 +202,101 @@ TEST(Huffman, SerializationAlphabetMismatchThrows) {
   std::vector<std::uint64_t> freqs{1, 2, 3};
   const auto lengths = huffman_code_lengths(freqs);
   ByteWriter w;
-  write_code_lengths(w, lengths);
+  write_code_lengths(w, lengths, lengths.size());
   const auto buf = std::move(w).take();
   ByteReader r(buf);
   EXPECT_THROW(read_code_lengths(r, 4), corrupt_stream_error);
+}
+
+/// Frequencies over `alphabet` symbols: a random band of used symbols
+/// (SZ's quantization codes around the radius), optionally symbol 0 (its
+/// outliers) and the alphabet's last symbol.
+std::vector<std::uint64_t> band_freqs(Rng& rng, std::size_t alphabet) {
+  std::vector<std::uint64_t> f(alphabet, 0);
+  const std::size_t width = 1 + rng.uniform_index(std::min<std::size_t>(
+                                    alphabet, 600));
+  const std::size_t lo = rng.uniform_index(alphabet - width + 1);
+  for (std::size_t s = lo; s < lo + width; ++s)
+    if (rng.uniform() < 0.7)
+      f[s] = 1 + static_cast<std::uint64_t>(
+                     1000.0 * std::exp(-0.02 * static_cast<double>(s - lo)) *
+                     rng.uniform());
+  if (rng.uniform() < 0.5) f[0] = 1 + rng.uniform_index(50);
+  if (rng.uniform() < 0.2) f[alphabet - 1] = 1 + rng.uniform_index(5);
+  return f;
+}
+
+TEST(Huffman, WindowedSetupMatchesTheFullAlphabet) {
+  // Lengths, codes, the serialized table and the decoded symbols of a
+  // window equal those of the full alphabet, byte for byte.
+  Rng rng(31);
+  for (int trial = 0; trial < 240; ++trial) {
+    const std::size_t alphabets[] = {1, 2, 19, 30, 286, 4096, 65536};
+    const std::size_t alphabet = alphabets[trial % 7];
+    const auto dense_freqs = band_freqs(rng, alphabet);
+    const auto dense = huffman_code_lengths(dense_freqs);
+    const Window w = window_of(dense_freqs);
+    const auto first = static_cast<std::uint32_t>(w.first);
+    const auto lengths = huffman_code_lengths(slice(dense_freqs, w));
+    SCOPED_TRACE(::testing::Message() << "trial " << trial << " window ["
+                                      << w.first << ", " << w.last << "]");
+    ASSERT_EQ(lengths, slice(dense, w));
+
+    ByteWriter full, windowed;
+    write_code_lengths(full, dense, alphabet);
+    write_code_lengths(windowed, lengths, alphabet, first);
+    const auto table = std::move(windowed).take();
+    ASSERT_EQ(std::move(full).take(), table);
+    ByteReader r(table);
+    const auto read = read_code_lengths(r, alphabet);
+    EXPECT_EQ(read.first, first);
+    EXPECT_EQ(read.lengths, lengths);
+
+    // Same bits from the dense and the window encoder; the window decoder
+    // returns alphabet symbols.
+    std::vector<std::uint32_t> symbols;
+    for (std::size_t s = 0; s < alphabet; ++s)
+      for (std::uint64_t k = 0; k < std::min<std::uint64_t>(dense_freqs[s], 3);
+           ++k)
+        symbols.push_back(static_cast<std::uint32_t>(s));
+    const HuffmanEncoder dense_enc(dense), enc(lengths);
+    BitWriter a, b;
+    for (const auto s : symbols) {
+      dense_enc.encode(a, s);
+      enc.encode(b, s == 0 ? 0 : s - first + 1);
+    }
+    const auto bits = a.finish();
+    ASSERT_EQ(bits, b.finish());
+    const HuffmanDecoder dec(read.lengths, read.first);
+    BitReader br(bits);
+    for (const auto s : symbols) ASSERT_EQ(dec.decode(br), s);
+  }
+}
+
+TEST(Huffman, WindowedTablesAtTheAlphabetEdges) {
+  // Zero runs of exactly 0xffff and 0x10000 symbols, codes only at the
+  // first and last symbols, and every symbol coded.
+  const std::size_t n = 65536;
+  std::vector<std::vector<std::uint8_t>> sets(6, std::vector<std::uint8_t>(n));
+  sets[1][0] = 1;
+  sets[2][n - 1] = 1;
+  sets[3][0] = sets[3][n - 1] = 1;
+  sets[4][1] = sets[4][n - 1] = 1;
+  sets[5].assign(n, 16);
+  for (const auto& dense : sets) {
+    const Window w = window_of(dense);
+    ByteWriter full, windowed;
+    write_code_lengths(full, dense, n);
+    write_code_lengths(windowed, slice(dense, w), n,
+                       static_cast<std::uint32_t>(w.first));
+    const auto table = std::move(windowed).take();
+    ASSERT_EQ(std::move(full).take(), table);
+    ByteReader r(table);
+    const auto read = read_code_lengths(r, n);
+    EXPECT_EQ(read.lengths.size(), w.size());
+    EXPECT_EQ(expand(read, n), dense);
+    EXPECT_EQ(r.remaining(), 0u);
+  }
 }
 
 TEST(Huffman, DecoderRejectsGarbage) {
@@ -181,28 +317,35 @@ TEST(Huffman, DecoderRejectsGarbage) {
 /// Decode `bits` with the table-driven and the bit-serial reference
 /// decoder side by side until both throw: every symbol, every bit position
 /// and the final exception message must agree.
+/// Both the decoder over the whole alphabet and the one over the narrowest
+/// window are checked.
 void expect_matches_reference(const std::vector<std::uint8_t>& lengths,
                               const std::vector<byte_t>& bits) {
-  const HuffmanDecoder dec(lengths);
   const ReferenceHuffmanDecoder ref(lengths);
-  BitReader a(bits), b(bits);
-  for (std::size_t k = 0;; ++k) {
-    std::string ea, eb;
-    std::uint32_t sa = 0, sb = 0;
-    try {
-      sa = dec.decode(a);
-    } catch (const corrupt_stream_error& e) {
-      ea = e.what();
+  const Window w = window_of(lengths);
+  const HuffmanDecoder whole(lengths);
+  const HuffmanDecoder windowed(slice(lengths, w),
+                                static_cast<std::uint32_t>(w.first));
+  for (const HuffmanDecoder* dec : {&whole, &windowed}) {
+    BitReader a(bits), b(bits);
+    for (std::size_t k = 0;; ++k) {
+      std::string ea, eb;
+      std::uint32_t sa = 0, sb = 0;
+      try {
+        sa = dec->decode(a);
+      } catch (const corrupt_stream_error& e) {
+        ea = e.what();
+      }
+      try {
+        sb = ref.decode(b);
+      } catch (const corrupt_stream_error& e) {
+        eb = e.what();
+      }
+      ASSERT_EQ(ea, eb) << "symbol " << k;
+      if (!ea.empty()) break;
+      ASSERT_EQ(sa, sb) << "symbol " << k;
+      ASSERT_EQ(a.bit_position(), b.bit_position()) << "symbol " << k;
     }
-    try {
-      sb = ref.decode(b);
-    } catch (const corrupt_stream_error& e) {
-      eb = e.what();
-    }
-    ASSERT_EQ(ea, eb) << "symbol " << k;
-    if (!ea.empty()) return;
-    ASSERT_EQ(sa, sb) << "symbol " << k;
-    ASSERT_EQ(a.bit_position(), b.bit_position()) << "symbol " << k;
   }
 }
 
@@ -286,6 +429,25 @@ TEST(HuffmanDecoder, MatchesBitSerialReferenceOnRandomLengthSets) {
       SCOPED_TRACE(::testing::Message() << "trial " << trial << " j " << j);
       expect_matches_reference(lengths,
                                random_bits(rng, 1 + rng.uniform_index(64)));
+    }
+  }
+}
+
+TEST(HuffmanDecoder, MatchesBitSerialReferenceOnBandedLengthSets) {
+  // SZ-like and deflate-sized sets, complete, incomplete (a code dropped)
+  // and over-subscribed (the last symbol added at 3 bits).
+  Rng rng(5);
+  for (int trial = 0; trial < 30; ++trial) {
+    const std::size_t alphabet = trial % 2 == 0 ? 65536 : 286;
+    auto lengths = huffman_code_lengths(band_freqs(rng, alphabet));
+    if (trial % 3 == 0)
+      *std::find_if(lengths.begin(), lengths.end(),
+                    [](std::uint8_t l) { return l != 0; }) = 0;
+    if (trial % 3 == 1) lengths[alphabet - 1] = 3;
+    for (int j = 0; j < 4; ++j) {
+      SCOPED_TRACE(::testing::Message() << "trial " << trial << " j " << j);
+      expect_matches_reference(lengths,
+                               random_bits(rng, 1 + rng.uniform_index(200)));
     }
   }
 }

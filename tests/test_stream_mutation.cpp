@@ -12,8 +12,10 @@
 #include <limits>
 #include <typeinfo>
 
+#include "common/byte_buffer.hpp"
 #include "common/rng.hpp"
 #include "compress/compressor.hpp"
+#include "compress/huffman.hpp"
 #include "compress/lossless/deflate_like.hpp"
 #include "sparse/vector_ops.hpp"
 
@@ -122,13 +124,14 @@ struct CodecCase {
   const char* name;
   ErrorBound eb;
   bool spiky;  // sparse data with non-finite entries instead of a field
+  std::size_t n = 1000;
 };
 
 class CodecMutation : public ::testing::TestWithParam<CodecCase> {};
 
 TEST_P(CodecMutation, DecodesOrRejects) {
   const CodecCase& c = GetParam();
-  Vector v = field(1000, 2);
+  Vector v = field(c.n, 2);
   if (c.spiky) {
     Rng rng(4);
     for (auto& x : v) x = rng.uniform() < 0.8 ? 0.0 : rng.normal(0.0, 1e3);
@@ -151,10 +154,98 @@ INSTANTIATE_TEST_SUITE_P(
         CodecCase{"sz", ErrorBound::value_range_rel(1e-4), false},
         CodecCase{"sz", ErrorBound::pointwise_rel(1e-4), true},
         CodecCase{"zfp", ErrorBound::absolute(1e-6), false},
-        CodecCase{"zfp", ErrorBound::absolute(0.0), true}),
+        CodecCase{"zfp", ErrorBound::absolute(0.0), true},
+        // One delta chunk: SZ's Huffman tables cover only its code band.
+        CodecCase{"sz", ErrorBound::absolute(1e-6), false, 4096},
+        CodecCase{"sz", ErrorBound::pointwise_rel(1e-4), false, 4096}),
     [](const auto& info) {
       return std::string(info.param.name) + "_" + std::to_string(info.index);
     });
+
+/// Replace the code-length table of an absolute-bound SZ stream with the
+/// serialized `lengths` (all 65,536 quantization codes).
+std::vector<byte_t> with_sz_table(const std::vector<byte_t>& stream,
+                                  const std::vector<std::uint8_t>& lengths) {
+  // "2SZ1" header (u32 magic, u64 n, u8 mode, f64 eb), then the core's
+  // f64 eb, u64 n, u32 radius, then the table: u32 alphabet size and
+  // tokens (0x00 + u16 zero run, or one length byte).
+  const std::size_t begin = 4 + 8 + 1 + 8 + 8 + 8 + 4;
+  std::size_t end = begin + 4;
+  for (std::size_t sym = 0; sym < 65536;) {
+    if (stream[end] == 0) {
+      std::uint16_t run = 0;
+      std::memcpy(&run, stream.data() + end + 1, 2);
+      sym += run;
+      end += 3;
+    } else {
+      ++sym;
+      ++end;
+    }
+  }
+  ByteWriter table;
+  write_code_lengths(table, lengths, lengths.size());
+  std::vector<byte_t> out(stream.begin(), stream.begin() + begin);
+  const auto t = std::move(table).take();
+  out.insert(out.end(), t.begin(), t.end());
+  out.insert(out.end(), stream.begin() + static_cast<std::ptrdiff_t>(end),
+             stream.end());
+  return out;
+}
+
+TEST(StreamMutation, SzCorruptCodeTablesDecodeOrReject) {
+  // A 4,096-element chunk's payload read through tables it was not coded
+  // with: codes at both alphabet ends only, and codes spread over the whole
+  // alphabet (complete, over-subscribed and sparse). Each table is decoded
+  // as is and then mutated.
+  const Vector v = field(4096, 5);
+  const auto comp = make_compressor("sz", ErrorBound::absolute(1e-6));
+  const auto stream = comp->compress(v);
+  Rng rng(21);
+  std::vector<std::vector<std::uint8_t>> tables(5,
+                                                std::vector<std::uint8_t>(65536));
+  tables[0][0] = tables[0][65535] = 1;
+  tables[1][0] = tables[1][65535] = 2;  // incomplete
+  tables[2].assign(65536, 16);          // complete, every code
+  for (auto& l : tables[3])             // mostly over-subscribed
+    if (rng.uniform() < 0.3)
+      l = static_cast<std::uint8_t>(1 + rng.uniform_index(kHuffmanMaxBits));
+  for (std::size_t s = 0; s < 65536; s += 257) tables[4][s] = 8;
+  int decoded = 0;
+  for (std::size_t t = 0; t < tables.size(); ++t) {
+    SCOPED_TRACE(::testing::Message() << "table " << t);
+    const auto corrupt = with_sz_table(stream, tables[t]);
+    const auto decode = [&](const auto& m) {
+      Vector out(v.size());
+      comp->decompress(m, out);
+    };
+    try {
+      decode(corrupt);
+      ++decoded;
+    } catch (const corrupt_stream_error&) {
+    }
+    const auto o = run_mutations(corrupt, 100, 30 + t, decode);
+    EXPECT_GT(o.rejected, 0);
+    decoded += o.decoded;
+  }
+  RecordProperty("decoded", decoded);
+}
+
+TEST(StreamMutation, SzChunkWithCodesAtBothAlphabetEndsDecodesOrRejects) {
+  // Even integers with ±65,534 spikes under an absolute bound of 1: the
+  // chunk's own table runs from code 1 to code 65,535.
+  Vector v(4096);
+  for (std::size_t i = 0; i < v.size(); ++i)
+    v[i] = 2.0 * std::round(4.0 * std::sin(0.02 * static_cast<double>(i)));
+  for (std::size_t i = 50; i + 1 < v.size(); i += 97) v[i] = v[i - 1] + 65534.0;
+  const auto comp = make_compressor("sz", ErrorBound::absolute(1.0));
+  const auto stream = comp->compress(v);
+  const auto o = run_mutations(stream, 400, 41, [&](const auto& m) {
+    Vector out(v.size());
+    comp->decompress(m, out);
+  });
+  EXPECT_GT(o.decoded, 0);
+  EXPECT_GT(o.rejected, 0);
+}
 
 }  // namespace
 }  // namespace lck
