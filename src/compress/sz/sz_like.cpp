@@ -129,23 +129,22 @@ void core_compress(ByteWriter& out, std::span<const double> data, double eb) {
   // Code the window {0} ∪ [lo, hi] of the alphabet the codes fall in, so
   // the Huffman setup is sized to the chunk's band (see huffman.hpp): code
   // c ≥ lo becomes window index c − lo + 1, and 0 stays 0.
-  std::uint32_t lo_minus_1 = kAlphabet;  // c − 1 wraps for c = 0
+  std::uint32_t shift = kAlphabet;  // lo − 1; c − 1 wraps for c = 0
   std::uint32_t hi = 0;
   for (const auto c : codes) {
-    lo_minus_1 = std::min(lo_minus_1, c - 1);
+    shift = std::min(shift, c - 1);
     hi = std::max(hi, c);
   }
-  const std::uint32_t first = hi == 0 ? 1 : lo_minus_1 + 1;
-  const std::uint32_t shift = first - 1;
+  if (hi == 0) shift = 0;  // outliers only: the window is {0}
   for (auto& c : codes) c -= c == 0 ? 0 : shift;
-  const auto freq = count_frequencies(codes, hi == 0 ? 1 : hi - shift + 1);
+  const auto freq = count_frequencies(codes, hi - shift + 1);
   const auto lengths = huffman_code_lengths(freq);
   const HuffmanEncoder enc(lengths);
 
   out.put(eb);
   out.put(static_cast<std::uint64_t>(n));
   out.put(kRadius);
-  write_code_lengths(out, lengths, kAlphabet, first);
+  write_code_lengths(out, lengths, kAlphabet, shift + 1);
   out.put(static_cast<std::uint64_t>(outliers.size()));
   out.put_array(outliers.data(), outliers.size());
 
