@@ -60,7 +60,6 @@ Window window_of(const std::vector<T>& dense) {
       if (w.last == 0) w.last = s;
       w.first = s;
     }
-  if (w.last == 0) w.first = 1;
   return w;
 }
 

@@ -167,21 +167,11 @@ INSTANTIATE_TEST_SUITE_P(
 std::vector<byte_t> with_sz_table(const std::vector<byte_t>& stream,
                                   const std::vector<std::uint8_t>& lengths) {
   // "2SZ1" header (u32 magic, u64 n, u8 mode, f64 eb), then the core's
-  // f64 eb, u64 n, u32 radius, then the table: u32 alphabet size and
-  // tokens (0x00 + u16 zero run, or one length byte).
+  // f64 eb, u64 n, u32 radius, then the table.
   const std::size_t begin = 4 + 8 + 1 + 8 + 8 + 8 + 4;
-  std::size_t end = begin + 4;
-  for (std::size_t sym = 0; sym < 65536;) {
-    if (stream[end] == 0) {
-      std::uint16_t run = 0;
-      std::memcpy(&run, stream.data() + end + 1, 2);
-      sym += run;
-      end += 3;
-    } else {
-      ++sym;
-      ++end;
-    }
-  }
+  ByteReader in(std::span<const byte_t>(stream).subspan(begin));
+  (void)read_code_lengths(in, 65536);
+  const std::size_t end = stream.size() - in.remaining();
   ByteWriter table;
   write_code_lengths(table, lengths, lengths.size());
   std::vector<byte_t> out(stream.begin(), stream.begin() + begin);
@@ -195,8 +185,8 @@ std::vector<byte_t> with_sz_table(const std::vector<byte_t>& stream,
 TEST(StreamMutation, SzCorruptCodeTablesDecodeOrReject) {
   // A 4,096-element chunk's payload read through tables it was not coded
   // with: codes at both alphabet ends only, and codes spread over the whole
-  // alphabet (complete, over-subscribed and sparse). Each table is decoded
-  // as is and then mutated.
+  // alphabet (complete, over-subscribed and sparse). None of them fits the
+  // payload, so the decoder must reject each; then each is mutated.
   const Vector v = field(4096, 5);
   const auto comp = make_compressor("sz", ErrorBound::absolute(1e-6));
   const auto stream = comp->compress(v);
@@ -210,7 +200,6 @@ TEST(StreamMutation, SzCorruptCodeTablesDecodeOrReject) {
     if (rng.uniform() < 0.3)
       l = static_cast<std::uint8_t>(1 + rng.uniform_index(kHuffmanMaxBits));
   for (std::size_t s = 0; s < 65536; s += 257) tables[4][s] = 8;
-  int decoded = 0;
   for (std::size_t t = 0; t < tables.size(); ++t) {
     SCOPED_TRACE(::testing::Message() << "table " << t);
     const auto corrupt = with_sz_table(stream, tables[t]);
@@ -218,16 +207,10 @@ TEST(StreamMutation, SzCorruptCodeTablesDecodeOrReject) {
       Vector out(v.size());
       comp->decompress(m, out);
     };
-    try {
-      decode(corrupt);
-      ++decoded;
-    } catch (const corrupt_stream_error&) {
-    }
+    EXPECT_THROW(decode(corrupt), corrupt_stream_error);
     const auto o = run_mutations(corrupt, 100, 30 + t, decode);
     EXPECT_GT(o.rejected, 0);
-    decoded += o.decoded;
   }
-  RecordProperty("decoded", decoded);
 }
 
 TEST(StreamMutation, SzChunkWithCodesAtBothAlphabetEndsDecodesOrRejects) {
