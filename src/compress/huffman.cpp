@@ -10,6 +10,13 @@ namespace lck {
 
 std::vector<std::uint64_t> count_frequencies(
     std::span<const std::uint32_t> symbols, std::size_t alphabet) {
+  std::vector<std::uint64_t> freq(alphabet, 0);
+  // Clearing and merging the partials costs about as much as counting as
+  // many symbols, so a stream shorter than 8 × alphabet counts directly.
+  if (symbols.size() < 8 * alphabet) {
+    for (const auto s : symbols) ++freq[s];
+    return freq;
+  }
   // Eight interleaved partial histograms via the dispatched kernel table:
   // consecutive symbols update different counter arrays, so equal
   // neighbouring symbols (the common case in quantization-code streams) no
@@ -19,7 +26,6 @@ std::vector<std::uint64_t> count_frequencies(
   const auto& o = simd::ops();
   std::vector<std::uint64_t> part(8 * alphabet, 0);
   o.hist8(symbols.data(), symbols.size(), part.data(), alphabet);
-  std::vector<std::uint64_t> freq(alphabet, 0);
   o.hist8_merge(part.data(), alphabet, freq.data());
   return freq;
 }

@@ -40,12 +40,13 @@ inline constexpr unsigned kHuffmanMaxBits = 24;
     std::span<const std::uint64_t> freqs);
 
 /// Symbol-frequency histogram over `symbols` (each must be < `alphabet`).
-/// Internally accumulates eight interleaved partial histograms (the
-/// dispatched `hist8` kernel) so the counter increments form independent
-/// dependency chains (the single loop-carried `++freq[c]` serializes on
-/// store-to-load forwarding for skewed symbol streams), then merges them.
-/// Integer addition is associative, so the result is identical to the
-/// naive loop.
+/// With at least 8 × `alphabet` symbols it accumulates eight interleaved
+/// partial histograms (the dispatched `hist8` kernel) so the counter
+/// increments form independent dependency chains (the single loop-carried
+/// `++freq[c]` serializes on store-to-load forwarding for skewed symbol
+/// streams), then merges them. Shorter streams do not repay clearing and
+/// merging the 8 × `alphabet` partial counters, so they take the plain
+/// loop. Integer addition is associative, so both give identical counts.
 [[nodiscard]] std::vector<std::uint64_t> count_frequencies(
     std::span<const std::uint32_t> symbols, std::size_t alphabet);
 

@@ -11,6 +11,8 @@
 #include <cmath>
 #include <cstring>
 
+#include "ckpt/chunk/chunk_codec.hpp"
+#include "ckpt/chunk/chunk_hash.hpp"
 #include "common/bit_io.hpp"
 #include "common/crc32.hpp"
 #include "common/rng.hpp"
@@ -634,12 +636,50 @@ Vector golden_ckpt(std::size_t n) {
   return v;
 }
 
+/// Even integers with ±65,534 spikes: under an absolute bound of 1 each
+/// spike quantizes to SZ's top code (65,535) and the drop back to its
+/// lowest (1), so one chunk's codes span the whole quantization alphabet.
+Vector golden_edges(std::size_t n) {
+  Vector v(n);
+  for (std::size_t i = 0; i < n; ++i)
+    v[i] = 2.0 * std::round(4.0 * std::sin(0.02 * static_cast<double>(i)));
+  for (std::size_t i = 50; i + 1 < n; i += 97) v[i] = v[i - 1] + 65534.0;
+  return v;
+}
+
 Vector golden_data(const char* kind, std::size_t n) {
   switch (kind[0]) {
     case 'f': return golden_field(n);
     case 's': return golden_spiky(n);
+    case 'e': return golden_edges(n);
+    case 'z': return Vector(n, 0.0);
     default: return golden_ckpt(n);
   }
+}
+
+/// Quantization codes with a nonzero Huffman length in an absolute- or
+/// range-bound SZ stream, parsed straight from its zero-run code-length
+/// table (u32 alphabet size, then 0x00 + u16 zero-run or one length byte).
+std::vector<std::uint32_t> sz_table_codes(std::span<const byte_t> stream) {
+  // "2SZ1" header (u32 magic, u64 n, u8 mode, f64 eb), then the core's
+  // f64 eb, u64 n, u32 radius.
+  std::size_t at = 4 + 8 + 1 + 8 + 8 + 8 + 4;
+  std::uint32_t alphabet = 0;
+  std::memcpy(&alphabet, stream.data() + at, 4);
+  at += 4;
+  std::vector<std::uint32_t> codes;
+  for (std::uint32_t sym = 0; sym < alphabet;) {
+    if (stream[at] == 0) {
+      std::uint16_t run = 0;
+      std::memcpy(&run, stream.data() + at + 1, 2);
+      sym += run;
+      at += 3;
+    } else {
+      codes.push_back(sym++);
+      ++at;
+    }
+  }
+  return codes;
 }
 
 TEST(CompressionGoldens, StreamsAreByteIdenticalToPreChangeOutput) {
@@ -671,6 +711,15 @@ TEST(CompressionGoldens, StreamsAreByteIdenticalToPreChangeOutput) {
       // eb = 0 on spiky data forces raw blocks: 64-bit writes of whole doubles.
       {"zfp", 0, 0.0e+00, "spiky", 20000u, 37952u, 0x060dac02u},
       {"deflate", 0, 0.0e+00, "ckpt", 12288u, 87089u, 0xb2a18fb8u},
+      // SZ on one 4,096-element delta chunk: a narrow code band, codes at
+      // both alphabet ends, codes 0 and 32,768 only, all outliers, and a
+      // single code (recorded before SZ's Huffman setup was sized to the
+      // codes a chunk uses).
+      {"sz", 2, 1.0e-04, "field", 4096u, 889u, 0xb7b2e8a8u},
+      {"sz", 0, 1.0e+00, "edges", 4096u, 711u, 0xd73366b0u},
+      {"sz", 0, 0.0e+00, "spiky", 4096u, 5405u, 0x8106d99bu},
+      {"sz", 0, 0.0e+00, "field", 4096u, 33345u, 0xa595e038u},
+      {"sz", 0, 1.0e-06, "zeros", 4096u, 580u, 0x40051568u},
   };
   for (const Golden& g : goldens) {
     ErrorBound eb;
@@ -694,6 +743,55 @@ TEST(CompressionGoldens, StreamsAreByteIdenticalToPreChangeOutput) {
     for (std::size_t i = 0; i < g.n; ++i)
       ASSERT_LE(std::fabs(out[i] - v[i]), bound) << g.comp << " i=" << i;
   }
+}
+
+TEST(CompressionGoldens, SzChunkCodeTablesCoverTheirCases) {
+  const auto codes = [](double eb, const char* kind) {
+    const auto stream =
+        make_compressor("sz", ErrorBound::absolute(eb))
+            ->compress(golden_data(kind, 4096));
+    return sz_table_codes(stream);
+  };
+  const auto edges = codes(1.0, "edges");
+  ASSERT_GE(edges.size(), 3u);
+  EXPECT_EQ(edges[1], 1u) << "codes 0 (outliers) and 1 lead the table";
+  EXPECT_EQ(edges.back(), 65535u);
+  EXPECT_EQ(codes(0.0, "spiky"), (std::vector<std::uint32_t>{0, 32768}));
+  EXPECT_EQ(codes(0.0, "field"), (std::vector<std::uint32_t>{0}));
+  EXPECT_EQ(codes(1e-6, "zeros"), (std::vector<std::uint32_t>{32768}));
+}
+
+TEST(CompressionGoldens, SzDeltaChunkStream) {
+  // One 48^3 vector through the delta chunk codec at its 4,096-element
+  // chunk size: 27 SZ calls, each on a chunk of the whole field.
+  const Vector v = golden_field(110592);
+  const auto sz = make_compressor("sz", ErrorBound::pointwise_rel(1e-4));
+  ByteWriter out;
+  out.put(kDeltaMagic);
+  out.put(kDeltaFormatVersion);
+  out.put(std::int32_t{-1});  // full checkpoint: no base, chain length 0
+  out.put(std::uint32_t{0});
+  out.put(std::uint32_t{1});  // one variable
+  out.put(std::int32_t{0});
+  out.put_string("x");
+  out.put(static_cast<std::uint8_t>(DeltaVarKind::kVector));
+  std::vector<std::uint64_t> hashes;
+  const ChunkEncodeStats stats =
+      encode_chunked_vector(out, v, *sz, 4096, nullptr, hashes);
+  EXPECT_EQ(stats.chunks, 27u);
+  EXPECT_EQ(stats.refs, 0u);
+  const auto bytes = std::move(out).take();
+  EXPECT_EQ(bytes.size(), 29817u);
+  EXPECT_EQ(crc32(bytes), 0x2f7b9b34u);
+  EXPECT_EQ(crc64(bytes), 0x3b275ad6a8fce1ebull);
+  const ParsedDeltaStream parsed = parse_delta_stream(bytes);
+  ASSERT_EQ(parsed.vars.size(), 1u);
+  Vector back(v.size());
+  for (std::size_t c = 0; c < 27; ++c)
+    sz->decompress(parsed.vars[0].chunks[c].payload,
+                   {back.data() + c * 4096, 4096});
+  for (std::size_t i = 0; i < v.size(); ++i)
+    ASSERT_LE(std::fabs(back[i] - v[i]), 1e-4 * std::fabs(v[i])) << i;
 }
 
 TEST(CompressionGoldens, HuffmanPayloadAndHistogram) {
@@ -756,6 +854,14 @@ TEST(CompressionGoldens, CountFrequenciesEdgeCases) {
   const std::vector<std::uint32_t> syms{1, 1, 1, 1, 1, 2, 0};  // remainder tail
   const auto freq = count_frequencies(syms, 3);
   EXPECT_EQ(freq, (std::vector<std::uint64_t>{1, 5, 1}));
+  // 8 × alphabet symbols and more take the partial histograms; a length
+  // that is not a multiple of 8 leaves a remainder tail.
+  std::vector<std::uint32_t> many;
+  for (std::uint32_t i = 0; i < 29; ++i) many.push_back(i % 7 == 0 ? 2 : 1);
+  EXPECT_EQ(count_frequencies(many, 3), (std::vector<std::uint64_t>{0, 24, 5}));
+  many.pop_back();
+  many.push_back(0);
+  EXPECT_EQ(count_frequencies(many, 3), (std::vector<std::uint64_t>{1, 24, 4}));
 }
 
 }  // namespace
