@@ -11,7 +11,7 @@
 /// 0 and entry i ≥ 1 is symbol `first + i − 1`, every symbol outside it
 /// having length 0. Deflate's alphabets (286 and 30 symbols) are their own
 /// window (first = 1). SZ codes a 4,096-element chunk over {0} ∪ [lo, hi],
-/// its outlier code plus the narrow band of quantization codes the chunk
+/// its outlier code plus the band of quantization codes the chunk
 /// produced, instead of all 65,536. Tree construction breaks ties by
 /// symbol order, canonical codes are assigned in symbol order and the
 /// decoder sorts by (length, symbol); the window keeps that order, so its

@@ -15,7 +15,8 @@
 ///  3. Canonical Huffman coding of the quantization codes. The coder is set
 ///     up over {0} ∪ [lo, hi], the outlier code plus the band of codes the
 ///     input produced, not over all 2·radius codes, so a 4,096-element
-///     delta chunk pays for the few hundred codes it uses. The stream still
+///     delta chunk pays for the band it spans (a few thousand codes for
+///     solver vectors under a pointwise-relative bound). The stream still
 ///     carries the code lengths of all 65,536 codes, and every byte equals
 ///     that of a full-alphabet setup (see huffman.hpp for why).
 ///
