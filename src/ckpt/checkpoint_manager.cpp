@@ -209,35 +209,54 @@ CheckpointRecord CheckpointManager::build_stream(
 }
 
 CheckpointRecord CheckpointManager::build_frame_stream(
-    const std::vector<VarView>& vars, ByteSink& sink) const {
+    const std::vector<VarView>& vars, ByteSink& sink,
+    DrainBoard* board) const {
+  // Every compress task, in stream order. Same chunking rule as the legacy
+  // block pipeline (same block size, same size threshold, BlockCompressor
+  // used as-is): each chunk's payload is comp->compress() of exactly the
+  // slice the legacy path would have compressed, so recovered values are
+  // bit-identical to a legacy-serializer round trip. Verbatim ("none")
+  // vectors have no tasks (chunk_elems stays 0).
+  std::vector<DrainBoard::Task> tasks;
+  std::vector<std::size_t> chunk_elems(vars.size(), 0);
+  for (std::size_t i = 0; i < vars.size(); ++i) {
+    const VarView& var = vars[i];
+    if (var.vec == nullptr ||
+        dynamic_cast<const NoneCompressor*>(var.compressor) != nullptr)
+      continue;
+    const Vector& vec = *var.vec;
+    chunk_elems[i] = std::max<std::size_t>(vec.size(), 1);
+    if (block_elems_ > 0 && vec.size() > block_elems_ &&
+        dynamic_cast<const BlockCompressor*>(var.compressor) == nullptr)
+      chunk_elems[i] = block_elems_;
+    const ChunkGeometry geo(vec.size(), chunk_elems[i]);
+    for (std::size_t c = 0; c < geo.count(); ++c)
+      tasks.push_back(
+          {var.compressor, {vec.data() + geo.begin(c), geo.length(c)}});
+  }
+  // A staged drain shares its tasks with the thread that joins it; either
+  // way chunks are written strictly in order, and at most two payloads (the
+  // drain's and the joiner's) are in flight, keeping memory bounded.
+  if (board != nullptr) board->publish(tasks);
+
   CheckpointRecord rec;
   FrameWriter out(sink, streaming_, sink_);
   out.put(kVersion);
   out.put(static_cast<std::uint32_t>(vars.size()));
 
   WallTimer timer;
-  for (const auto& var : vars) {
+  std::size_t next_task = 0;
+  for (std::size_t i = 0; i < vars.size(); ++i) {
+    const VarView& var = vars[i];
     out.put(static_cast<std::int32_t>(var.id));
     out.put_string(*var.name);
     if (var.vec != nullptr) {
       out.put(static_cast<std::uint8_t>(VarKind::kVector));
       const Vector& vec = *var.vec;
       const Compressor* comp = var.compressor;
-      const bool verbatim =
-          dynamic_cast<const NoneCompressor*>(comp) != nullptr;
-      // Same chunking rule as the legacy block pipeline (same block size,
-      // same size threshold, BlockCompressor used as-is): each chunk's
-      // payload is comp->compress() of exactly the slice the legacy path
-      // would have compressed, so recovered values are bit-identical to a
-      // legacy-serializer round trip. Chunks are compressed sequentially —
-      // at most one chunk payload is in flight, keeping memory bounded.
-      std::size_t chunk_elems = std::max<std::size_t>(vec.size(), 1);
-      if (!verbatim && block_elems_ > 0 && vec.size() > block_elems_ &&
-          dynamic_cast<const BlockCompressor*>(comp) == nullptr)
-        chunk_elems = block_elems_;
       out.put_string(comp->name());
       out.put(static_cast<std::uint64_t>(vec.size()));
-      if (verbatim) {
+      if (chunk_elems[i] == 0) {
         // Raw doubles straight into the frames; the frame style (e.g.
         // lz4) is the only compression layer, and the per-frame CRC the
         // only integrity layer — no codec header, no payload allocation.
@@ -249,15 +268,17 @@ CheckpointRecord CheckpointManager::build_frame_stream(
         rec.per_var_bytes[*var.name] = raw.size();
       } else {
         out.put(static_cast<std::uint8_t>(FrameVarLayout::kChunked));
-        const ChunkGeometry geo(vec.size(), chunk_elems);
+        const ChunkGeometry geo(vec.size(), chunk_elems[i]);
         out.put(static_cast<std::uint64_t>(geo.chunk_elems));
         std::size_t var_bytes = 0;
         const WallTimer comp_timer;
         double comp_seconds = 0.0;
-        for (std::size_t c = 0; c < geo.count(); ++c) {
+        for (std::size_t c = 0; c < geo.count(); ++c, ++next_task) {
           const double before = comp_timer.seconds();
-          const auto payload =
-              comp->compress({vec.data() + geo.begin(c), geo.length(c)});
+          const DrainBoard::Task& task = tasks[next_task];
+          const auto payload = board != nullptr
+                                   ? board->take(next_task)
+                                   : task.comp->compress(task.slice);
           comp_seconds += comp_timer.seconds() - before;
           out.put(static_cast<std::uint64_t>(payload.size()));
           out.put_bytes(payload);
@@ -411,7 +432,15 @@ std::shared_ptr<const ChunkBaseState> CheckpointManager::pick_delta_base()
 
 CheckpointRecord CheckpointManager::write_pending_version(
     const std::vector<VarView>& vars, int version, const ChunkBaseState* base,
-    std::shared_ptr<const ChunkBaseState>& state, int slot) {
+    std::shared_ptr<const ChunkBaseState>& state, int slot,
+    DrainBoard* board) {
+  // Once the stream no longer reads `vars`, the slot is free again — but
+  // only after the board is closed: a chunk the joiner is still
+  // compressing reads the slot too.
+  const auto release_staging = [&] {
+    if (board != nullptr) board->close();
+    if (slot >= 0) release_slot(slot);
+  };
   std::vector<byte_t> bytes;
   std::unique_ptr<ByteSink> sink;
   CheckpointRecord rec;
@@ -423,14 +452,14 @@ CheckpointRecord CheckpointManager::write_pending_version(
       // the stream is never materialized, so peak memory is bounded by the
       // frame writer, not the checkpoint size.
       sink = store_->open_write_pending(version);
-      rec = build_frame_stream(vars, *sink);
+      rec = build_frame_stream(vars, *sink, board);
     } else {
       rec = build_stream(vars, bytes);
     }
   } catch (...) {
     // A throwing compressor must not strand the slot as busy forever. (A
     // part-written streaming sink cleans up in its destructor.)
-    if (slot >= 0) release_slot(slot);
+    release_staging();
     throw;
   }
   rec.version = version;
@@ -444,7 +473,7 @@ CheckpointRecord CheckpointManager::write_pending_version(
   // on) before the slow store write so the owner can stage the next
   // checkpoint meanwhile. A streaming sink already holds every byte, so
   // sealing it does not need the slot.
-  if (slot >= 0) release_slot(slot);
+  release_staging();
   if (sink != nullptr)
     sink->finish();
   else
@@ -464,7 +493,8 @@ CheckpointRecord CheckpointManager::checkpoint() {
   CheckpointRecord rec;
   try {
     // The live variables are the source: no staging copy, no writer thread.
-    rec = write_pending_version(views, version, base.get(), state, -1);
+    rec = write_pending_version(views, version, base.get(), state, -1,
+                                nullptr);
     store_->commit(version);
   } catch (...) {
     store_->abort(version);  // leave no half-written pending blob behind
@@ -554,14 +584,24 @@ StageTicket CheckpointManager::stage() {
   // an immutable snapshot of the base's hashes.
   const auto base = pick_delta_base();
   auto state = std::make_shared<std::shared_ptr<const ChunkBaseState>>();
-  auto drain = [this, version, slot_idx, base, state,
+  auto board = std::make_shared<DrainBoard>();
+  auto drain = [this, version, slot_idx, base, state, board,
                 views = std::move(views)] {
     const WallTimer job_timer;  // Runs on the writer thread; registry shards.
-    const CheckpointRecord rec =
-        write_pending_version(views, version, base.get(), *state, slot_idx);
+    const CheckpointRecord rec = write_pending_version(
+        views, version, base.get(), *state, slot_idx, board.get());
     if (sink_.metrics != nullptr)
       sink_.metrics->observe("ckpt.drain_job_seconds", job_timer.seconds());
     return rec;
+  };
+  // Runs on the owner thread, inside wait_drain(): rather than block while
+  // the drain compresses, the owner compresses the chunks it has not
+  // reached yet.
+  auto help = [this, board] {
+    const std::size_t helped = board->help();
+    if (sink_.metrics != nullptr && helped > 0)
+      sink_.metrics->add("ckpt.drain_helped_chunks",
+                         static_cast<double>(helped));
   };
   // Track the version before enqueueing so a failed submit can unwind
   // completely: nothing else releases the slot once it is marked busy.
@@ -569,7 +609,7 @@ StageTicket CheckpointManager::stage() {
     staged_versions_.insert(version);
     if (max_delta_chain_ > 0)
       staged_delta_[version] = {base != nullptr ? base->version : -1, state};
-    writer_->submit(version, std::move(drain));
+    writer_->submit(version, std::move(drain), std::move(help));
   } catch (...) {
     staged_versions_.erase(version);
     staged_delta_.erase(version);
@@ -591,11 +631,18 @@ CheckpointRecord CheckpointManager::wait_drain(int version) {
     throw corrupt_stream_error("wait_drain: drain already failed for version " +
                                std::to_string(version));
   require(writer_ != nullptr, "wait_drain: no drain was submitted");
+  const WallTimer join_timer;  // Joining includes helping the drain.
+  const auto observe_join = [&] {
+    if (sink_.metrics != nullptr)
+      sink_.metrics->observe("ckpt.drain_join_seconds", join_timer.seconds());
+  };
   try {
     const CheckpointRecord rec = writer_->wait(version);
+    observe_join();
     drained_[version] = rec;
     return rec;
   } catch (...) {
+    observe_join();
     failed_drains_.insert(version);
     throw;
   }

@@ -14,6 +14,7 @@
 ///    variables into one of two staging slots and returns; a background
 ///    AsyncCheckpointWriter drains the slot through the same body into a
 ///    pending store version, which the caller later commits or rolls back.
+///    The caller's wait_drain() lends its thread to the drain's compression.
 ///    A third stage() while both slots are busy blocks until a drain
 ///    finishes (double-buffer back-pressure, matching FTI semantics).
 /// Both shapes produce byte-identical streams for identical values.
@@ -41,6 +42,7 @@
 namespace lck {
 
 class AsyncCheckpointWriter;
+class DrainBoard;
 
 /// Whether checkpoints block for the full compress+write (kSync), only for
 /// the staging copy with the drain in the background (kAsync), or go
@@ -107,8 +109,12 @@ class CheckpointManager {
   StageTicket stage();
 
   /// Block until `version`'s drain (compression + pending store write) has
-  /// finished and return its record. Idempotent until the version is
-  /// committed or aborted. Rethrows any drain-side exception.
+  /// finished and return its record. While the drain still has chunks left
+  /// to compress, the calling thread compresses some of them instead of
+  /// idling; the drain thread still writes the whole stream, in order.
+  /// Idempotent until the version is committed or aborted. Rethrows any
+  /// drain-side exception, including one raised on a chunk the caller
+  /// compressed.
   CheckpointRecord wait_drain(int version);
 
   /// Promote a drained version to committed and prune per retention.
@@ -263,13 +269,16 @@ class CheckpointManager {
   /// checkpoint() and the staged drain: write `vars` as the *pending* store
   /// version `version`. `base`/`state`: see build_delta_stream. `slot`, if
   /// >= 0, is the staging slot `vars` point into; it is released once the
-  /// stream no longer reads it (before the store write) or on a throw. The
+  /// stream no longer reads it (before the store write) or on a throw.
+  /// `board`, if set, is the staged drain's board shared with its joiner
+  /// (framed streams only); it is closed before the slot is released. The
   /// encoders below fill the format-specific record fields, this body the
   /// version, raw sizes and blob sizes common to all three.
   CheckpointRecord write_pending_version(
       const std::vector<VarView>& vars, int version,
       const ChunkBaseState* base,
-      std::shared_ptr<const ChunkBaseState>& state, int slot);
+      std::shared_ptr<const ChunkBaseState>& state, int slot,
+      DrainBoard* board);
 
   /// Serialize one snapshot into the legacy in-memory stream format.
   CheckpointRecord build_stream(const std::vector<VarView>& vars,
@@ -280,9 +289,12 @@ class CheckpointManager {
   /// rule as the legacy block pipeline, so recovered values are bit-exact
   /// against the legacy serializer for every codec. Calls FrameWriter's
   /// finish() but NOT sink.finish() — sealing the sink is the caller's job
-  /// (write_pending_version seals it only after releasing the slot).
+  /// (write_pending_version seals it only after releasing the slot). With a
+  /// `board`, the chunk compress tasks are published on it and each
+  /// payload is taken from it, so a joining thread can compress some.
   CheckpointRecord build_frame_stream(const std::vector<VarView>& vars,
-                                      ByteSink& sink) const;
+                                      ByteSink& sink,
+                                      DrainBoard* board) const;
 
   /// Incremental frame-by-frame recovery of a framed stream; `src` is
   /// positioned just past the 4-byte magic recover() peeked for dispatch.

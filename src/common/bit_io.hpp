@@ -29,6 +29,13 @@ static_assert(std::endian::native == std::endian::little,
 class BitWriter {
  public:
   BitWriter() = default;
+  /// Append after the bytes of `prefix` (which finish() returns in front).
+  explicit BitWriter(std::vector<byte_t> prefix) : buf_(std::move(prefix)) {}
+
+  /// Make room for `nbits` more bits, so writing them never reallocates.
+  void reserve_bits(std::size_t nbits) {
+    buf_.reserve(buf_.size() + (nacc_ + nbits + 7) / 8);
+  }
 
   /// Write the low `nbits` (0..64) bits of `value`, most significant first.
   void write_bits(std::uint64_t value, unsigned nbits) {

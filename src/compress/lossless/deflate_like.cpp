@@ -139,8 +139,12 @@ std::vector<Token> tokenize(std::span<const byte_t> in) {
   const byte_t* const base = in.data();
   std::vector<std::int64_t> head(kHashSize, -1);
   std::vector<std::uint16_t> prev(kRingSize, 0);
+  // At most one token per input byte. Reserving that bound once avoids the
+  // regrowth copies (solver doubles yield ~0.74 tokens per byte, which
+  // outgrew a quarter-size guess twice); capacity never written is never
+  // touched.
   std::vector<Token> tokens;
-  tokens.reserve(n / 4 + 16);
+  tokens.reserve(n);
 
   // Link position j into the chain for its 3-byte hash.
   const auto insert = [&](std::size_t j) {
@@ -200,13 +204,17 @@ constexpr byte_t kFormatStored = 0;
 std::vector<byte_t> deflate_compress(std::span<const byte_t> in) {
   const std::vector<Token> tokens = tokenize(in);
 
-  // Histogram both alphabets.
+  // Histogram both alphabets, and count the extra bits the matches carry.
   std::vector<std::uint64_t> lit_freq(kLitLenAlphabet, 0);
   std::vector<std::uint64_t> dist_freq(kDistAlphabet, 0);
+  std::uint64_t extra_bits = 0;
   for (const Token t : tokens) {
     if (t >= kMatchFlag) {
-      ++lit_freq[257 + kLengthCodeOf[t >> 16]];
-      ++dist_freq[dist_code(t & 0xffff)];
+      const unsigned lc = kLengthCodeOf[t >> 16];
+      const unsigned dc = dist_code(t & 0xffff);
+      ++lit_freq[257 + lc];
+      ++dist_freq[dc];
+      extra_bits += kLengthCodes[lc].extra_bits + kDistCodes[dc].extra_bits;
     } else {
       ++lit_freq[t];
     }
@@ -215,16 +223,38 @@ std::vector<byte_t> deflate_compress(std::span<const byte_t> in) {
 
   const auto lit_lengths = huffman_code_lengths(lit_freq);
   const auto dist_lengths = huffman_code_lengths(dist_freq);
-  const HuffmanEncoder lit_enc(lit_lengths);
-  const HuffmanEncoder dist_enc(dist_lengths);
+
+  // The coded payload's exact size, known before coding it: the stored
+  // fallback is decided up front, and the payload is coded straight into
+  // the output buffer, sized once.
+  std::uint64_t payload_bits = extra_bits;
+  for (std::size_t s = 0; s < kLitLenAlphabet; ++s)
+    payload_bits += lit_freq[s] * lit_lengths[s];
+  for (std::size_t s = 0; s < kDistAlphabet; ++s)
+    payload_bits += dist_freq[s] * dist_lengths[s];
+  const std::uint64_t payload_bytes = (payload_bits + 7) / 8;
 
   ByteWriter out;
   out.put(kFormatHuffman);
   out.put(static_cast<std::uint64_t>(in.size()));
   write_code_lengths(out, lit_lengths, kLitLenAlphabet);
   write_code_lengths(out, dist_lengths, kDistAlphabet);
+  out.put(payload_bytes);
 
-  BitWriter bw;
+  // Stored fallback if "compression" would expand the data.
+  if (out.size() + payload_bytes >= in.size() + 9) {
+    ByteWriter stored;
+    stored.put(kFormatStored);
+    stored.put(static_cast<std::uint64_t>(in.size()));
+    stored.put_bytes(in);
+    return std::move(stored).take();
+  }
+
+  const std::size_t header_bytes = out.size();
+  const HuffmanEncoder lit_enc(lit_lengths);
+  const HuffmanEncoder dist_enc(dist_lengths);
+  BitWriter bw(std::move(out).take());
+  bw.reserve_bits(payload_bits);
   for (const Token t : tokens) {
     if (t >= kMatchFlag) {
       const std::uint32_t len = t >> 16;
@@ -240,19 +270,10 @@ std::vector<byte_t> deflate_compress(std::span<const byte_t> in) {
     }
   }
   lit_enc.encode(bw, kEob);
-  const auto payload = bw.finish();
-  out.put(static_cast<std::uint64_t>(payload.size()));
-  out.put_bytes(payload);
-
-  // Stored fallback if "compression" expanded the data.
-  if (out.size() >= in.size() + 9) {
-    ByteWriter stored;
-    stored.put(kFormatStored);
-    stored.put(static_cast<std::uint64_t>(in.size()));
-    stored.put_bytes(in);
-    return std::move(stored).take();
-  }
-  return std::move(out).take();
+  std::vector<byte_t> stream = bw.finish();
+  require(stream.size() == header_bytes + payload_bytes,
+          "deflate: coded payload size differs from its prediction");
+  return stream;
 }
 
 void deflate_decompress(std::span<const byte_t> in, std::span<byte_t> out) {

@@ -19,9 +19,11 @@
 
 #include "ckpt/async_writer.hpp"
 #include "ckpt/checkpoint_manager.hpp"
+#include "compress/compressor.hpp"
 #include "common/rng.hpp"
 #include "core/experiment.hpp"
 #include "core/resilient_runner.hpp"
+#include "obs/metrics.hpp"
 #include "sparse/vector_ops.hpp"
 
 namespace lck {
@@ -408,6 +410,134 @@ TEST(AsyncManager, ThirdStageBlocksUntilASlotDrains) {
     mgr.commit_version(v);
   }
   EXPECT_EQ(mgr.latest_version(), t1.version + 1);
+}
+
+// ----- the joiner helps the drain -------------------------------------------
+
+/// Lossless compressor that pins one drain/joiner interleaving: the drain
+/// thread's first compress() waits until the thread that built the
+/// compressor (the owner, joining in wait_drain) has entered compress() for
+/// a later chunk, so the owner is sure to claim one. With fail_on_owner set,
+/// the owner's chunks throw. Waits are bounded like GateCompressor's.
+class HandoffCompressor final : public Compressor {
+ public:
+  [[nodiscard]] std::string name() const override { return inner_->name(); }
+  [[nodiscard]] bool lossy() const noexcept override { return false; }
+  [[nodiscard]] std::vector<byte_t> compress(
+      std::span<const double> data) const override {
+    const bool on_owner = std::this_thread::get_id() == owner_;
+    bool fail = false;
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      if (on_owner) {
+        ++owner_calls_;
+        fail = fail_on_owner_;
+        cv_.notify_all();
+      } else if (!drain_waited_) {
+        drain_waited_ = true;
+        (void)cv_.wait_for(lock, GateCompressor::kDeadline,
+                           [&] { return owner_calls_ > 0; });
+      }
+    }
+    if (fail) throw corrupt_stream_error("codec failure on the joiner's chunk");
+    return inner_->compress(data);
+  }
+  void decompress(std::span<const byte_t> stream,
+                  std::span<double> out) const override {
+    inner_->decompress(stream, out);
+  }
+  /// Re-arm for the next drain.
+  void reset(bool fail_on_owner) {
+    const std::lock_guard<std::mutex> lock(mu_);
+    fail_on_owner_ = fail_on_owner;
+    drain_waited_ = false;
+    owner_calls_ = 0;
+  }
+  [[nodiscard]] int owner_calls() const {
+    const std::lock_guard<std::mutex> lock(mu_);
+    return owner_calls_;
+  }
+
+ private:
+  std::unique_ptr<Compressor> inner_ = make_compressor("deflate");
+  std::thread::id owner_ = std::this_thread::get_id();
+  mutable std::mutex mu_;
+  mutable std::condition_variable cv_;
+  mutable bool drain_waited_ = false;
+  mutable int owner_calls_ = 0;
+  bool fail_on_owner_ = false;
+};
+
+TEST(AsyncManager, HelpedDrainIsBitIdenticalToSyncCheckpoint) {
+  // Many small chunks, and wait_drain() right after stage(): the owner
+  // compresses some of them, yet the stream is the sync path's, byte for
+  // byte.
+  Vector x = random_vector(20000, 3);
+  Vector p = random_vector(20000, 4);
+  std::vector<byte_t> blob{9, 8, 7};
+  const auto deflate = make_compressor("deflate");
+
+  auto sync_store = std::make_unique<MemoryStore>();
+  auto* sync_raw = sync_store.get();
+  CheckpointManager sync_mgr(std::move(sync_store), deflate.get());
+  sync_mgr.set_block_pipeline(1024);
+  sync_mgr.protect(0, "x", &x);
+  sync_mgr.protect(1, "p", &p);
+  sync_mgr.protect_blob(2, "s", &blob);
+  sync_mgr.checkpoint();
+
+  HandoffCompressor handoff;
+  obs::MetricsRegistry reg;
+  auto async_store = std::make_unique<MemoryStore>();
+  auto* async_raw = async_store.get();
+  CheckpointManager async_mgr(std::move(async_store), &handoff);
+  async_mgr.set_observability({&reg, nullptr});
+  async_mgr.set_block_pipeline(1024);
+  async_mgr.protect(0, "x", &x);
+  async_mgr.protect(1, "p", &p);
+  async_mgr.protect_blob(2, "s", &blob);
+  const StageTicket t = async_mgr.stage();
+  const CheckpointRecord rec = async_mgr.wait_drain(t.version);
+  async_mgr.commit_version(t.version);
+
+  EXPECT_EQ(sync_raw->read(0), async_raw->read(0));
+  EXPECT_EQ(rec.stored_bytes, sync_raw->read(0).size());
+  EXPECT_GE(handoff.owner_calls(), 1) << "the joiner never helped";
+  const auto snap = reg.snapshot();
+  EXPECT_EQ(snap.counter("ckpt.drain_helped_chunks"),
+            static_cast<double>(handoff.owner_calls()));
+  const auto* join = snap.histogram("ckpt.drain_join_seconds");
+  ASSERT_NE(join, nullptr);
+  EXPECT_EQ(join->count, 1u);
+}
+
+TEST(AsyncManager, CodecErrorOnJoinersChunkSurfacesFromWaitDrain) {
+  HandoffCompressor handoff;
+  CheckpointManager mgr(std::make_unique<MemoryStore>(), &handoff);
+  mgr.set_block_pipeline(1024);
+  Vector x = random_vector(20000, 5);
+  const Vector original = x;
+  mgr.protect(0, "x", &x);
+
+  handoff.reset(/*fail_on_owner=*/true);
+  const StageTicket bad = mgr.stage();
+  EXPECT_THROW((void)mgr.wait_drain(bad.version), corrupt_stream_error);
+  EXPECT_GE(handoff.owner_calls(), 1);
+  mgr.abort_version(bad.version);
+  EXPECT_FALSE(mgr.store().has_pending(bad.version));
+  EXPECT_EQ(mgr.versions_in_flight(), 0);
+
+  // Both staging slots are free again: two stages in a row do not block.
+  handoff.reset(/*fail_on_owner=*/false);
+  const StageTicket t0 = mgr.stage();
+  const StageTicket t1 = mgr.stage();
+  for (const int v : {t0.version, t1.version}) {
+    mgr.wait_drain(v);
+    mgr.commit_version(v);
+  }
+  x.assign(x.size(), 0.0);
+  mgr.recover();
+  EXPECT_EQ(x, original);
 }
 
 // ----- stores: pending state across both backends ---------------------------
