@@ -21,7 +21,7 @@ void evaluate(const char* stage, const lck::Vector& x) {
   std::printf("%-18s %-9s %-14s %-14s %-14s\n", "compressor", "ratio",
               "comp MB/s", "decomp MB/s", "max rel err");
   for (const char* name :
-       {"sz", "block+sz", "zfp", "trunc", "deflate", "shuffle-deflate",
+       {"sz", "zfp", "trunc", "deflate", "shuffle-deflate",
         "shuffle-rle", "rle"}) {
     const auto comp = make_compressor(name, ErrorBound::pointwise_rel(1e-4));
     WallTimer tc;

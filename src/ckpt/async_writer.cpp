@@ -43,16 +43,6 @@ CheckpointRecord AsyncCheckpointWriter::wait(int version) {
   return outcome.record;
 }
 
-bool AsyncCheckpointWriter::finished(int version) const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return done_.contains(version);
-}
-
-std::size_t AsyncCheckpointWriter::in_flight() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return queue_.size() + running_;
-}
-
 void AsyncCheckpointWriter::worker_loop() {
   for (;;) {
     std::pair<int, Job> next;
@@ -64,7 +54,6 @@ void AsyncCheckpointWriter::worker_loop() {
       if (queue_.empty()) return;
       next = std::move(queue_.front());
       queue_.pop_front();
-      ++running_;
     }
 
     Outcome outcome;
@@ -77,7 +66,6 @@ void AsyncCheckpointWriter::worker_loop() {
     {
       const std::lock_guard<std::mutex> lock(mu_);
       done_.emplace(next.first, std::move(outcome));
-      --running_;
     }
     cv_.notify_all();
   }

@@ -11,8 +11,8 @@
 /// thread, which does all of a job's serialization; a thread that joins a
 /// job in wait() first runs the job's help hook, so it can compress the
 /// job's chunks instead of sitting idle (see DrainBoard). Completion is
-/// observed with wait()/finished() and the commit or abort decision stays
-/// with the caller.
+/// observed with wait() and the commit or abort decision stays with the
+/// caller.
 
 #include <condition_variable>
 #include <cstddef>
@@ -61,12 +61,6 @@ class AsyncCheckpointWriter {
   /// submitted version may be waited on exactly once.
   CheckpointRecord wait(int version);
 
-  /// Non-blocking probe: true once `version`'s job has run to completion.
-  [[nodiscard]] bool finished(int version) const;
-
-  /// Jobs submitted but not yet completed (queued + running).
-  [[nodiscard]] std::size_t in_flight() const;
-
  private:
   struct Outcome {
     CheckpointRecord record;
@@ -75,18 +69,20 @@ class AsyncCheckpointWriter {
 
   void worker_loop();
 
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable cv_;
   std::deque<std::pair<int, Job>> queue_;
   std::map<int, Help> help_;  ///< Hooks of submitted, not yet waited jobs.
   std::map<int, Outcome> done_;
-  std::size_t running_ = 0;
   bool stop_ = false;
   std::thread worker_;
 };
 
-/// The compress tasks of one drain, shared between the drain thread and
-/// the thread that joins it.
+/// The compress tasks of one checkpoint, shared between the drain thread
+/// and the thread that joins it. It is the only place the manager
+/// compresses chunks: the framed serializer's chunks and the delta
+/// serializer's literal chunks both go through it, and checkpoint() uses a
+/// board nobody helps.
 ///
 /// The drain publishes its (variable, chunk) tasks in stream order and
 /// take()s each chunk's payload in that order, compressing it itself unless

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <optional>
 #include <set>
 #include <unordered_map>
 
@@ -56,8 +55,7 @@ void verify_ref_hash(const Compressor& comp, std::span<const double> slice,
 }
 
 /// Per-codec compression observability: real seconds and achieved ratio,
-/// labeled by the effective compressor name (so a block-pipeline wrapper
-/// shows up as "block+<codec>").
+/// labeled by the compressor name.
 void observe_compress(obs::Sink sink, const Compressor& comp,
                       std::size_t raw_bytes, std::size_t stored_bytes,
                       double seconds) {
@@ -147,51 +145,17 @@ CheckpointRecord CheckpointManager::build_stream(
     if (var.vec != nullptr) {
       out.put(static_cast<std::uint8_t>(VarKind::kVector));
       const Vector& vec = *var.vec;
-      const Compressor* comp = var.compressor;
-      const bool verbatim =
-          dynamic_cast<const NoneCompressor*>(comp) != nullptr;
-      // Vectors spanning more than one block go through the parallel
-      // block pipeline; the stored compressor name records the layout.
-      // A registered compressor that is already a BlockCompressor is
-      // used as-is — nesting would frame (and CRC) the payload twice.
-      // Verbatim ("none") vectors skip the pipeline too: there is nothing
-      // to parallelize about a memcpy.
-      std::optional<BlockCompressor> blk;
-      if (!verbatim && block_elems_ > 0 && vec.size() > block_elems_ &&
-          dynamic_cast<const BlockCompressor*>(comp) == nullptr)
-        blk.emplace(comp, block_elems_);
-      if (blk) comp = &*blk;
-      out.put_string(comp->name());
+      const Compressor& comp = *var.compressor;
+      out.put_string(comp.name());
       out.put(static_cast<std::uint64_t>(vec.size()));
-      if (verbatim) {
-        // Fast path: emit the NoneCompressor stream layout directly into
-        // the checkpoint buffer instead of round-tripping the vector
-        // through an intermediate payload allocation.
-        ByteWriter header(NoneCompressor::kHeaderBytes);
-        header.put(NoneCompressor::kMagic);
-        header.put(static_cast<std::uint64_t>(vec.size()));
-        const std::span<const byte_t> raw{
-            reinterpret_cast<const byte_t*>(vec.data()),
-            vec.size() * sizeof(double)};
-        Crc32 crc;
-        crc.update(header.view());
-        crc.update(raw);
-        const std::size_t payload_size = header.size() + raw.size();
-        rec.per_var_bytes[*var.name] = payload_size;
-        out.put(static_cast<std::uint64_t>(payload_size));
-        out.put(crc.value());
-        out.put_bytes(header.view());
-        out.put_bytes(raw);
-      } else {
-        const WallTimer comp_timer;
-        const auto payload = comp->compress(vec);
-        observe_compress(sink_, *comp, vec.size() * sizeof(double),
-                         payload.size(), comp_timer.seconds());
-        rec.per_var_bytes[*var.name] = payload.size();
-        out.put(static_cast<std::uint64_t>(payload.size()));
-        out.put(crc32(payload));
-        out.put_bytes(payload);
-      }
+      const WallTimer comp_timer;
+      const auto payload = comp.compress(vec);
+      observe_compress(sink_, comp, vec.size() * sizeof(double),
+                       payload.size(), comp_timer.seconds());
+      rec.per_var_bytes[*var.name] = payload.size();
+      out.put(static_cast<std::uint64_t>(payload.size()));
+      out.put(crc32(payload));
+      out.put_bytes(payload);
     } else {
       out.put(static_cast<std::uint8_t>(VarKind::kBlob));
       out.put_string("none");
@@ -209,14 +173,10 @@ CheckpointRecord CheckpointManager::build_stream(
 }
 
 CheckpointRecord CheckpointManager::build_frame_stream(
-    const std::vector<VarView>& vars, ByteSink& sink,
-    DrainBoard* board) const {
-  // Every compress task, in stream order. Same chunking rule as the legacy
-  // block pipeline (same block size, same size threshold, BlockCompressor
-  // used as-is): each chunk's payload is comp->compress() of exactly the
-  // slice the legacy path would have compressed, so recovered values are
-  // bit-identical to a legacy-serializer round trip. Verbatim ("none")
-  // vectors have no tasks (chunk_elems stays 0).
+    const std::vector<VarView>& vars, ByteSink& sink, DrainBoard& board) const {
+  // Every compress task, in stream order: a vector larger than
+  // block_elems_ is cut into chunks of that size, any other is one chunk.
+  // Verbatim ("none") vectors have no tasks (chunk_elems stays 0).
   std::vector<DrainBoard::Task> tasks;
   std::vector<std::size_t> chunk_elems(vars.size(), 0);
   for (std::size_t i = 0; i < vars.size(); ++i) {
@@ -226,8 +186,7 @@ CheckpointRecord CheckpointManager::build_frame_stream(
       continue;
     const Vector& vec = *var.vec;
     chunk_elems[i] = std::max<std::size_t>(vec.size(), 1);
-    if (block_elems_ > 0 && vec.size() > block_elems_ &&
-        dynamic_cast<const BlockCompressor*>(var.compressor) == nullptr)
+    if (block_elems_ > 0 && vec.size() > block_elems_)
       chunk_elems[i] = block_elems_;
     const ChunkGeometry geo(vec.size(), chunk_elems[i]);
     for (std::size_t c = 0; c < geo.count(); ++c)
@@ -237,7 +196,7 @@ CheckpointRecord CheckpointManager::build_frame_stream(
   // A staged drain shares its tasks with the thread that joins it; either
   // way chunks are written strictly in order, and at most two payloads (the
   // drain's and the joiner's) are in flight, keeping memory bounded.
-  if (board != nullptr) board->publish(tasks);
+  board.publish(std::move(tasks));
 
   CheckpointRecord rec;
   FrameWriter out(sink, streaming_, sink_);
@@ -275,10 +234,7 @@ CheckpointRecord CheckpointManager::build_frame_stream(
         double comp_seconds = 0.0;
         for (std::size_t c = 0; c < geo.count(); ++c, ++next_task) {
           const double before = comp_timer.seconds();
-          const DrainBoard::Task& task = tasks[next_task];
-          const auto payload = board != nullptr
-                                   ? board->take(next_task)
-                                   : task.comp->compress(task.slice);
+          const auto payload = board.take(next_task);
           comp_seconds += comp_timer.seconds() - before;
           out.put(static_cast<std::uint64_t>(payload.size()));
           out.put_bytes(payload);
@@ -303,7 +259,8 @@ CheckpointRecord CheckpointManager::build_frame_stream(
 CheckpointRecord CheckpointManager::build_delta_stream(
     const std::vector<VarView>& vars, int version,
     const ChunkBaseState* base, std::vector<byte_t>& bytes,
-    std::shared_ptr<const ChunkBaseState>& out_state) const {
+    std::shared_ptr<const ChunkBaseState>& out_state,
+    DrainBoard& board) const {
   CheckpointRecord rec;
   rec.base_version = base != nullptr ? base->version : -1;
   rec.chain_len = base != nullptr ? base->chain_len + 1 : 0;
@@ -313,6 +270,32 @@ CheckpointRecord CheckpointManager::build_delta_stream(
   state->chunk_elems = delta_chunk_elems_;
   state->chain_len = rec.chain_len;
 
+  // Plan every vector before writing any of it, so all literal chunks of
+  // the checkpoint go on the board at once, in stream order.
+  WallTimer timer;
+  std::vector<std::vector<ChunkTag>> tags(vars.size());
+  std::vector<DrainBoard::Task> tasks;
+  for (std::size_t i = 0; i < vars.size(); ++i) {
+    const VarView& var = vars[i];
+    if (var.vec == nullptr) continue;
+    std::string comp_name = var.compressor->name();
+    const std::vector<std::uint64_t>* base_hashes =
+        base != nullptr ? base->hashes_for(var.id, comp_name) : nullptr;
+    std::vector<std::uint64_t> hashes;
+    tags[i] = plan_chunked_vector(*var.vec, delta_chunk_elems_, base_hashes,
+                                  hashes);
+    rec.chunks += tags[i].size();
+    rec.chunks_deduped += static_cast<std::size_t>(
+        std::count(tags[i].begin(), tags[i].end(), ChunkTag::kRef));
+    const ChunkGeometry geo(var.vec->size(), delta_chunk_elems_);
+    for (std::size_t c = 0; c < geo.count(); ++c)
+      if (tags[i][c] == ChunkTag::kLiteral)
+        tasks.push_back(
+            {var.compressor, {var.vec->data() + geo.begin(c), geo.length(c)}});
+    state->vars.push_back({var.id, std::move(comp_name), std::move(hashes)});
+  }
+  board.publish(std::move(tasks));
+
   ByteWriter out;
   out.put(kDeltaMagic);
   out.put(kDeltaFormatVersion);
@@ -320,30 +303,29 @@ CheckpointRecord CheckpointManager::build_delta_stream(
   out.put(rec.chain_len);
   out.put(static_cast<std::uint32_t>(vars.size()));
 
-  WallTimer timer;
-  for (const auto& var : vars) {
+  std::size_t next_task = 0;
+  auto planned = state->vars.cbegin();
+  for (std::size_t i = 0; i < vars.size(); ++i) {
+    const VarView& var = vars[i];
     out.put(static_cast<std::int32_t>(var.id));
     out.put_string(*var.name);
     if (var.vec != nullptr) {
       out.put(static_cast<std::uint8_t>(DeltaVarKind::kVector));
-      // Chunks are the unit of parallel compression here, so the block
-      // pipeline is not layered on top (a registered BlockCompressor is
-      // still honoured as the per-chunk codec).
-      const std::string comp_name = var.compressor->name();
-      const std::vector<std::uint64_t>* base_hashes =
-          base != nullptr ? base->hashes_for(var.id, comp_name) : nullptr;
-      std::vector<std::uint64_t> hashes;
+      const VarChunkHashes& plan = *planned++;
       const WallTimer comp_timer;
-      const ChunkEncodeStats stats =
-          encode_chunked_vector(out, *var.vec, *var.compressor,
-                                delta_chunk_elems_, base_hashes, hashes);
+      double comp_seconds = 0.0;
+      const std::size_t var_bytes = emit_chunked_vector(
+          out, plan.comp_name, var.vec->size(), delta_chunk_elems_,
+          plan.hashes, tags[i], [&](std::size_t) {
+            const double before = comp_timer.seconds();
+            auto payload = board.take(next_task++);
+            comp_seconds += comp_timer.seconds() - before;
+            return payload;
+          });
       observe_compress(sink_, *var.compressor,
-                       var.vec->size() * sizeof(double), stats.literal_bytes,
-                       comp_timer.seconds());
-      state->vars.push_back({var.id, comp_name, std::move(hashes)});
-      rec.chunks += stats.chunks;
-      rec.chunks_deduped += stats.refs;
-      rec.per_var_bytes[*var.name] = stats.literal_bytes;
+                       var.vec->size() * sizeof(double), var_bytes,
+                       comp_seconds);
+      rec.per_var_bytes[*var.name] = var_bytes;
     } else {
       out.put(static_cast<std::uint8_t>(DeltaVarKind::kBlob));
       out.put(static_cast<std::uint64_t>(var.blob->size()));
@@ -433,12 +415,12 @@ std::shared_ptr<const ChunkBaseState> CheckpointManager::pick_delta_base()
 CheckpointRecord CheckpointManager::write_pending_version(
     const std::vector<VarView>& vars, int version, const ChunkBaseState* base,
     std::shared_ptr<const ChunkBaseState>& state, int slot,
-    DrainBoard* board) {
+    DrainBoard& board) {
   // Once the stream no longer reads `vars`, the slot is free again — but
   // only after the board is closed: a chunk the joiner is still
   // compressing reads the slot too.
   const auto release_staging = [&] {
-    if (board != nullptr) board->close();
+    board.close();
     if (slot >= 0) release_slot(slot);
   };
   std::vector<byte_t> bytes;
@@ -446,7 +428,7 @@ CheckpointRecord CheckpointManager::write_pending_version(
   CheckpointRecord rec;
   try {
     if (max_delta_chain_ > 0) {
-      rec = build_delta_stream(vars, version, base, bytes, state);
+      rec = build_delta_stream(vars, version, base, bytes, state, board);
     } else if (streaming_.enabled) {
       // Frames flow into the store sink while `vars` is still readable —
       // the stream is never materialized, so peak memory is bounded by the
@@ -492,9 +474,10 @@ CheckpointRecord CheckpointManager::checkpoint() {
   std::shared_ptr<const ChunkBaseState> state;
   CheckpointRecord rec;
   try {
-    // The live variables are the source: no staging copy, no writer thread.
-    rec = write_pending_version(views, version, base.get(), state, -1,
-                                nullptr);
+    // The live variables are the source: no staging copy, no writer thread,
+    // and nobody helps with the board.
+    DrainBoard board;
+    rec = write_pending_version(views, version, base.get(), state, -1, board);
     store_->commit(version);
   } catch (...) {
     store_->abort(version);  // leave no half-written pending blob behind
@@ -589,7 +572,7 @@ StageTicket CheckpointManager::stage() {
                 views = std::move(views)] {
     const WallTimer job_timer;  // Runs on the writer thread; registry shards.
     const CheckpointRecord rec = write_pending_version(
-        views, version, base.get(), *state, slot_idx, board.get());
+        views, version, base.get(), *state, slot_idx, *board);
     if (sink_.metrics != nullptr)
       sink_.metrics->observe("ckpt.drain_job_seconds", job_timer.seconds());
     return rec;
@@ -737,28 +720,11 @@ CheckpointRecord CheckpointManager::recover() {
     if (crc32(payload) != stored_crc)
       throw corrupt_stream_error("recover: CRC mismatch for variable " + name);
 
-    const auto it = entries_.find(id);
-    if (it == entries_.end())
-      throw corrupt_stream_error("recover: unregistered variable id " +
-                                 std::to_string(id));
-    Entry& e = it->second;
+    Entry& e = entry_for(id);
     if (kind == VarKind::kVector) {
-      require(e.dst != nullptr, "recover: kind mismatch (expected vector)");
-      const Compressor* comp = compressor_for(e);
-      // The stored name decides the layout: a "block+" prefix means the
-      // payload is a framed block stream around the registered compressor
-      // (the block size is embedded in the stream itself).
-      std::optional<BlockCompressor> blk;
-      if (comp_name == "block+" + comp->name()) {
-        blk.emplace(comp);
-        comp = &*blk;
-      } else if (comp->name() != comp_name) {
-        throw corrupt_stream_error(
-            "recover: compressor mismatch for variable " + name + " (stored " +
-            comp_name + ", registered " + comp->name() + ")");
-      }
+      const Compressor& comp = codec_for(e, comp_name, name);
       e.dst->resize(elem_count);
-      comp->decompress(payload, *e.dst);
+      comp.decompress(payload, *e.dst);
       rec.raw_bytes += elem_count * sizeof(double);
     } else {
       require(e.blob != nullptr, "recover: kind mismatch (expected blob)");
@@ -792,25 +758,13 @@ CheckpointRecord CheckpointManager::recover_frame_stream(int version,
     const std::string name = in.get_string();
     const auto kind = static_cast<VarKind>(in.get<std::uint8_t>());
 
-    const auto it = entries_.find(id);
-    if (it == entries_.end())
-      throw corrupt_stream_error("recover: unregistered variable id " +
-                                 std::to_string(id));
-    Entry& e = it->second;
+    Entry& e = entry_for(id);
     if (kind == VarKind::kVector) {
-      require(e.dst != nullptr, "recover: kind mismatch (expected vector)");
-      const std::string comp_name = in.get_string();
+      const Compressor& comp = codec_for(e, in.get_string(), name);
       const auto elem_count = in.get<std::uint64_t>();
       const auto layout = static_cast<FrameVarLayout>(in.get<std::uint8_t>());
       if (elem_count > (std::uint64_t{1} << 48))
         throw corrupt_stream_error("recover: implausible element count");
-      const Compressor* comp = compressor_for(e);
-      // Framed streams store the effective per-chunk codec name (never a
-      // synthesized "block+" wrapper — chunking replaces the pipeline).
-      if (comp->name() != comp_name)
-        throw corrupt_stream_error(
-            "recover: compressor mismatch for variable " + name + " (stored " +
-            comp_name + ", registered " + comp->name() + ")");
       e.dst->resize(elem_count);
       rec.raw_bytes += elem_count * sizeof(double);
       if (layout == FrameVarLayout::kVerbatim) {
@@ -833,7 +787,7 @@ CheckpointRecord CheckpointManager::recover_frame_stream(int version,
                 "recover: implausible chunk payload size");
           payload.resize(static_cast<std::size_t>(payload_size));
           in.read_into(payload);
-          comp->decompress(payload, {e.dst->data() + geo.begin(c), len});
+          comp.decompress(payload, {e.dst->data() + geo.begin(c), len});
           var_bytes += payload.size();
         }
         rec.per_var_bytes[name] = var_bytes;
@@ -886,11 +840,7 @@ CheckpointRecord CheckpointManager::recover_delta(
 
   WallTimer timer;
   for (const auto& var : parsed.vars) {
-    const auto it = entries_.find(var.id);
-    if (it == entries_.end())
-      throw corrupt_stream_error("recover: unregistered variable id " +
-                                 std::to_string(var.id));
-    Entry& e = it->second;
+    Entry& e = entry_for(var.id);
     if (var.kind == DeltaVarKind::kBlob) {
       require(e.blob != nullptr, "recover: kind mismatch (expected blob)");
       e.blob->assign(var.blob.begin(), var.blob.end());
@@ -898,12 +848,7 @@ CheckpointRecord CheckpointManager::recover_delta(
       rec.per_var_bytes[var.name] = var.blob.size();
       continue;
     }
-    require(e.dst != nullptr, "recover: kind mismatch (expected vector)");
-    const Compressor* comp = compressor_for(e);
-    if (comp->name() != var.comp_name)
-      throw corrupt_stream_error(
-          "recover: compressor mismatch for variable " + var.name +
-          " (stored " + var.comp_name + ", registered " + comp->name() + ")");
+    const Compressor& comp = codec_for(e, var.comp_name, var.name);
     e.dst->resize(var.elem_count);
     rec.raw_bytes += var.elem_count * sizeof(double);
     rec.chunks += var.chunks.size();
@@ -920,16 +865,16 @@ CheckpointRecord CheckpointManager::recover_delta(
                                     geo.length(c)};
       const ParsedChunk& chunk = var.chunks[c];
       if (chunk.tag == ChunkTag::kLiteral) {
-        comp->decompress(chunk.payload, slice);
+        comp.decompress(chunk.payload, slice);
         own_literals.emplace(chunk.hash, chunk.payload);
         var_stored += chunk.payload.size();
       } else if (const auto lit = own_literals.find(chunk.hash);
                  lit != own_literals.end()) {
-        comp->decompress(lit->second, slice);
-        verify_ref_hash(*comp, slice, chunk.hash, it->second.name);
+        comp.decompress(lit->second, slice);
+        verify_ref_hash(comp, slice, chunk.hash, e.name);
         ++rec.chunks_deduped;
       } else {
-        pending.push_back({var.id, &it->second.name, comp, chunk.hash, slice});
+        pending.push_back({var.id, &e.name, &comp, chunk.hash, slice});
         ++rec.chunks_deduped;
       }
     }
@@ -993,6 +938,26 @@ CheckpointRecord CheckpointManager::recover_delta(
                            {{"format", "delta"}});
   recovery_pending_ = false;
   return rec;
+}
+
+CheckpointManager::Entry& CheckpointManager::entry_for(int id) {
+  const auto it = entries_.find(id);
+  if (it == entries_.end())
+    throw corrupt_stream_error("recover: unregistered variable id " +
+                               std::to_string(id));
+  return it->second;
+}
+
+const Compressor& CheckpointManager::codec_for(const Entry& e,
+                                               const std::string& stored,
+                                               const std::string& name) const {
+  require(e.dst != nullptr, "recover: kind mismatch (expected vector)");
+  const Compressor& comp = *compressor_for(e);
+  if (comp.name() != stored)
+    throw corrupt_stream_error("recover: compressor mismatch for variable " +
+                               name + " (stored " + stored + ", registered " +
+                               comp.name() + ")");
+  return comp;
 }
 
 CheckpointRecord CheckpointManager::snapshot() {

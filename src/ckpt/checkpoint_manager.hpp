@@ -34,7 +34,6 @@
 #include "ckpt/checkpoint_store.hpp"
 #include "ckpt/chunk/chunk_codec.hpp"
 #include "ckpt/frame_stream.hpp"
-#include "compress/block_compressor.hpp"
 #include "compress/compressor.hpp"
 #include "obs/observability.hpp"
 #include "sparse/vector_ops.hpp"
@@ -159,18 +158,15 @@ class CheckpointManager {
     retention_ = n;
   }
 
-  /// Configure the parallel block-compression pipeline: vectors larger than
-  /// `block_elems` are split into blocks compressed concurrently (per-block
-  /// CRC-32, any scheme). 0 disables. Default: BlockCompressor's block size,
-  /// so large production vectors get the parallel path automatically while
-  /// small ones keep the single-shot stream. Recovery reads whichever layout
-  /// the stored checkpoint used, so this can change between runs. Must not
-  /// change while a drain is in flight.
+  /// Chunk size of the framed serializer: a compressed vector larger than
+  /// `block_elems` doubles is stored as chunks of that many, each one codec
+  /// payload, which a thread joining a staged drain can compress beside the
+  /// drain (see DrainBoard). 0 stores every vector as one payload. Default
+  /// 65,536 doubles (512 KiB per chunk). The chunk size is recorded in the
+  /// stream, so this can change between runs. The legacy and delta formats
+  /// ignore it. Must not change while a drain is in flight.
   void set_block_pipeline(std::size_t block_elems) noexcept {
     block_elems_ = block_elems;
-  }
-  [[nodiscard]] std::size_t block_pipeline_elems() const noexcept {
-    return block_elems_;
   }
 
   /// Default chunk size of the delta (chunked) serializer, in doubles.
@@ -185,8 +181,9 @@ class CheckpointManager {
   /// checkpoint before the next full is forced (bounding both recovery
   /// read amplification and how long retention must keep chain bases).
   /// Retention pruning never drops a version that a live chain references.
-  /// In delta mode chunks replace the block pipeline as the unit of
-  /// parallel compression. Must not change while a drain is in flight.
+  /// Delta chunks are compressed through the drain's DrainBoard like framed
+  /// chunks, so a joining thread helps here too. Must not change while a
+  /// drain is in flight.
   void set_delta(int max_delta_chain,
                  std::size_t chunk_elems = kDefaultChunkElems) {
     require(max_delta_chain >= 0,
@@ -270,48 +267,60 @@ class CheckpointManager {
   /// version `version`. `base`/`state`: see build_delta_stream. `slot`, if
   /// >= 0, is the staging slot `vars` point into; it is released once the
   /// stream no longer reads it (before the store write) or on a throw.
-  /// `board`, if set, is the staged drain's board shared with its joiner
-  /// (framed streams only); it is closed before the slot is released. The
+  /// `board` carries the chunk compress tasks of the framed and delta
+  /// encoders; a staged drain shares it with its joiner, checkpoint() passes
+  /// one nobody helps. It is closed before the slot is released. The
   /// encoders below fill the format-specific record fields, this body the
   /// version, raw sizes and blob sizes common to all three.
   CheckpointRecord write_pending_version(
       const std::vector<VarView>& vars, int version,
       const ChunkBaseState* base,
       std::shared_ptr<const ChunkBaseState>& state, int slot,
-      DrainBoard* board);
+      DrainBoard& board);
 
-  /// Serialize one snapshot into the legacy in-memory stream format.
+  /// Serialize one snapshot into the legacy in-memory stream format: each
+  /// vector is one codec payload (or its raw doubles), compressed here.
   CheckpointRecord build_stream(const std::vector<VarView>& vars,
                                 std::vector<byte_t>& bytes) const;
 
   /// Serialize one snapshot as a framed stream straight into `sink` with
-  /// bounded memory (see frame_stream.hpp). Chunks each vector by the same
-  /// rule as the legacy block pipeline, so recovered values are bit-exact
-  /// against the legacy serializer for every codec. Calls FrameWriter's
-  /// finish() but NOT sink.finish() — sealing the sink is the caller's job
-  /// (write_pending_version seals it only after releasing the slot). With a
-  /// `board`, the chunk compress tasks are published on it and each
-  /// payload is taken from it, so a joining thread can compress some.
+  /// bounded memory (see frame_stream.hpp). Vectors larger than
+  /// block_elems_ are chunked; the chunk compress tasks are published on
+  /// `board` and each payload is taken from it in stream order. Calls
+  /// FrameWriter's finish() but NOT sink.finish() — sealing the sink is the
+  /// caller's job (write_pending_version seals it only after releasing the
+  /// slot).
   CheckpointRecord build_frame_stream(const std::vector<VarView>& vars,
-                                      ByteSink& sink,
-                                      DrainBoard* board) const;
+                                      ByteSink& sink, DrainBoard& board) const;
 
   /// Incremental frame-by-frame recovery of a framed stream; `src` is
   /// positioned just past the 4-byte magic recover() peeked for dispatch.
   CheckpointRecord recover_frame_stream(int version, ByteSource& src);
 
   /// Serialize one snapshot as a chunked delta stream against `base`
-  /// (nullptr ⇒ full chunked checkpoint). Fills `out_state` with the
-  /// hashes a successor delta needs.
+  /// (nullptr ⇒ full chunked checkpoint). Plans every vector, publishes all
+  /// literal chunks on `board`, then writes the manifests, taking each
+  /// payload in order. Fills `out_state` with the hashes a successor delta
+  /// needs.
   CheckpointRecord build_delta_stream(
       const std::vector<VarView>& vars, int version,
       const ChunkBaseState* base, std::vector<byte_t>& bytes,
-      std::shared_ptr<const ChunkBaseState>& out_state) const;
+      std::shared_ptr<const ChunkBaseState>& out_state,
+      DrainBoard& board) const;
 
   /// The base the next checkpoint deltas against, or nullptr when a full
   /// checkpoint is due (no committed predecessor, chain at max length,
   /// chunk size changed, or the candidate was discarded).
   [[nodiscard]] std::shared_ptr<const ChunkBaseState> pick_delta_base() const;
+
+  /// The registration a stored variable restores into; throws
+  /// corrupt_stream_error for an id nobody protected.
+  Entry& entry_for(int id);
+  /// The codec of vector registration `e`, checked against the name the
+  /// stream stored for variable `name`.
+  [[nodiscard]] const Compressor& codec_for(const Entry& e,
+                                            const std::string& stored,
+                                            const std::string& name) const;
 
   /// Chain-walking recovery of a delta-format checkpoint: literal chunks
   /// decompress in place, references resolve against base versions read
@@ -334,7 +343,7 @@ class CheckpointManager {
   int next_version_ = 0;
   int retention_ = 1;
   int prune_floor_ = 0;  ///< Versions below this are already pruned.
-  std::size_t block_elems_ = BlockCompressor::kDefaultBlockElems;
+  std::size_t block_elems_ = std::size_t{1} << 16;  ///< Framed chunk size.
   StreamingConfig streaming_{};  ///< Framed serializer knobs (default on).
   obs::Sink sink_{};  ///< Observability handles (both null => off).
   bool recovery_pending_ = false;

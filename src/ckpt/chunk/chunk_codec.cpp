@@ -4,7 +4,6 @@
 
 #include "ckpt/chunk/chunk_hash.hpp"
 #include "common/crc32.hpp"
-#include "parallel/parallel_for.hpp"
 
 namespace lck {
 
@@ -24,69 +23,49 @@ std::optional<int> peek_delta_base(std::span<const byte_t> stream) noexcept {
   return static_cast<int>(base);
 }
 
-ChunkEncodeStats encode_chunked_vector(
-    ByteWriter& out, std::span<const double> vec, const Compressor& comp,
-    std::size_t chunk_elems, const std::vector<std::uint64_t>* base_hashes,
-    std::vector<std::uint64_t>& out_hashes) {
+std::vector<ChunkTag> plan_chunked_vector(
+    std::span<const double> vec, std::size_t chunk_elems,
+    const std::vector<std::uint64_t>* base_hashes,
+    std::vector<std::uint64_t>& hashes) {
   require(chunk_elems >= 1, "chunk codec: chunk_elems must be >= 1");
-  const std::size_t n = vec.size();
-  const ChunkGeometry geo(n, chunk_elems);
-  const std::size_t chunks = geo.count();
-
-  // Hash every chunk's raw bytes concurrently; the hash list is a pure
-  // function of the data, so sync and async drains agree bit-for-bit.
-  std::vector<std::uint64_t> hashes(chunks);
-  parallel_for(0, static_cast<index_t>(chunks), [&](index_t c) {
-    const auto i = static_cast<std::size_t>(c);
-    hashes[i] = crc64(
-        {reinterpret_cast<const byte_t*>(vec.data() + geo.begin(i)),
-         geo.length(i) * sizeof(double)});
-  });
-
-  // Literal/ref decision in manifest order: a chunk references the base
-  // version's content or a literal emitted earlier in this same stream
-  // (within-version dedup, e.g. constant regions).
+  const ChunkGeometry geo(vec.size(), chunk_elems);
+  hashes.resize(geo.count());
   std::unordered_set<std::uint64_t> available;
   if (base_hashes != nullptr)
     available.insert(base_hashes->begin(), base_hashes->end());
-  std::vector<std::uint8_t> is_ref(chunks, 0);
-  for (std::size_t c = 0; c < chunks; ++c) {
-    if (available.contains(hashes[c]))
-      is_ref[c] = 1;
-    else
-      available.insert(hashes[c]);
+  // Decided in manifest order, so a reference always names content a base
+  // or an earlier literal of this stream holds.
+  std::vector<ChunkTag> tags(geo.count(), ChunkTag::kLiteral);
+  for (std::size_t c = 0; c < geo.count(); ++c) {
+    hashes[c] = crc64(
+        {reinterpret_cast<const byte_t*>(vec.data() + geo.begin(c)),
+         geo.length(c) * sizeof(double)});
+    if (!available.insert(hashes[c]).second) tags[c] = ChunkTag::kRef;
   }
+  return tags;
+}
 
-  // Compress the literal chunks concurrently (each payload depends only on
-  // its chunk's doubles, so the stream stays deterministic).
-  std::vector<std::vector<byte_t>> payloads(chunks);
-  parallel_for(0, static_cast<index_t>(chunks), [&](index_t c) {
-    const auto i = static_cast<std::size_t>(c);
-    if (is_ref[i]) return;
-    payloads[i] = comp.compress(vec.subspan(geo.begin(i), geo.length(i)));
-  });
-
-  ChunkEncodeStats stats;
-  stats.chunks = chunks;
-  out.put_string(comp.name());
-  out.put(static_cast<std::uint64_t>(n));
+std::size_t emit_chunked_vector(
+    ByteWriter& out, const std::string& comp_name, std::size_t elems,
+    std::size_t chunk_elems, std::span<const std::uint64_t> hashes,
+    std::span<const ChunkTag> tags,
+    const std::function<std::vector<byte_t>(std::size_t)>& literal) {
+  std::size_t literal_bytes = 0;
+  out.put_string(comp_name);
+  out.put(static_cast<std::uint64_t>(elems));
   out.put(static_cast<std::uint64_t>(chunk_elems));
-  out.put(static_cast<std::uint32_t>(chunks));
-  for (std::size_t c = 0; c < chunks; ++c) {
+  out.put(static_cast<std::uint32_t>(tags.size()));
+  for (std::size_t c = 0; c < tags.size(); ++c) {
     out.put(hashes[c]);
-    out.put(static_cast<std::uint8_t>(is_ref[c] ? ChunkTag::kRef
-                                                : ChunkTag::kLiteral));
-    if (is_ref[c]) {
-      ++stats.refs;
-      continue;
-    }
-    out.put(static_cast<std::uint64_t>(payloads[c].size()));
-    out.put(crc32(payloads[c]));
-    out.put_bytes(payloads[c]);
-    stats.literal_bytes += payloads[c].size();
+    out.put(static_cast<std::uint8_t>(tags[c]));
+    if (tags[c] == ChunkTag::kRef) continue;
+    const std::vector<byte_t> payload = literal(c);
+    out.put(static_cast<std::uint64_t>(payload.size()));
+    out.put(crc32(payload));
+    out.put_bytes(payload);
+    literal_bytes += payload.size();
   }
-  out_hashes = std::move(hashes);
-  return stats;
+  return literal_bytes;
 }
 
 ParsedDeltaStream parse_delta_stream(std::span<const byte_t> stream) {
@@ -99,7 +78,13 @@ ParsedDeltaStream parse_delta_stream(std::span<const byte_t> stream) {
   ParsedDeltaStream parsed;
   parsed.base_version = in.get<std::int32_t>();
   parsed.chain_len = in.get<std::uint32_t>();
+  // Counts come from the stream, so they are checked against the bytes
+  // left before they size anything: every variable and every manifest
+  // entry takes at least kMinEntryBytes.
+  constexpr std::size_t kMinEntryBytes = 9;
   const auto var_count = in.get<std::uint32_t>();
+  if (var_count > in.remaining() / kMinEntryBytes)
+    throw corrupt_stream_error("delta stream: variable count exceeds stream");
   parsed.vars.reserve(var_count);
   for (std::uint32_t v = 0; v < var_count; ++v) {
     ParsedDeltaVar var;
@@ -122,6 +107,10 @@ ParsedDeltaStream parse_delta_stream(std::span<const byte_t> stream) {
           chunk_count != geo.count())
         throw corrupt_stream_error(
             "delta stream: inconsistent chunk geometry for variable " +
+            var.name);
+      if (chunk_count > in.remaining() / kMinEntryBytes)
+        throw corrupt_stream_error(
+            "delta stream: chunk count exceeds stream for variable " +
             var.name);
       var.chunks.reserve(chunk_count);
       for (std::uint32_t c = 0; c < chunk_count; ++c) {

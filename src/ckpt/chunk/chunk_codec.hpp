@@ -21,18 +21,20 @@
 ///         tag 1 (ref): nothing — resolved by raw_hash within the chain
 ///     kind 1 (blob): u64 size | u32 crc32 | bytes (verbatim, never delta)
 ///
-/// The legacy (non-delta) checkpoint format is untouched: with delta
-/// encoding disabled the manager emits byte-identical streams to the
-/// pre-chunk serializer, and recovery dispatches on the magic.
+/// This file only lays out the format; it compresses nothing. The manager
+/// compresses the literal chunks through the drain's DrainBoard (see
+/// async_writer.hpp), so a thread joining a staged delta drain can help.
+/// With delta encoding disabled the manager writes its other formats, and
+/// recovery dispatches on the magic.
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "common/byte_buffer.hpp"
-#include "compress/compressor.hpp"
 #include "sparse/vector_ops.hpp"
 
 namespace lck {
@@ -101,24 +103,29 @@ struct ChunkBaseState {
   }
 };
 
-/// Encoder accounting for one vector variable.
-struct ChunkEncodeStats {
-  std::size_t chunks = 0;          ///< Total manifest entries.
-  std::size_t refs = 0;            ///< Chunks stored as references.
-  std::size_t literal_bytes = 0;   ///< Compressed payload bytes emitted.
-};
+/// Encoding a vector takes two steps, so the manager can plan every
+/// variable, put all literal chunks on one DrainBoard and only then write
+/// the stream, taking each payload as its turn comes.
+///
+/// Plan: hash every chunk's raw bytes into `hashes` and tag each chunk. A
+/// chunk whose hash is in `base_hashes` (the same variable's hash list in
+/// the base version; null ⇒ no base) or belongs to an earlier chunk of this
+/// vector (within-version dedup, e.g. constant regions) is a reference;
+/// every other chunk is a literal. Both depend only on the data.
+[[nodiscard]] std::vector<ChunkTag> plan_chunked_vector(
+    std::span<const double> vec, std::size_t chunk_elems,
+    const std::vector<std::uint64_t>* base_hashes,
+    std::vector<std::uint64_t>& hashes);
 
-/// Encode one vector as a chunk manifest into `out`. `base_hashes` is the
-/// same variable's hash list in the base version (null ⇒ every chunk is a
-/// literal candidate); chunks whose hash appears in the base or earlier in
-/// this stream become references. Literal chunks are compressed with `comp`
-/// concurrently (deterministic: the literal/ref decision and the emitted
-/// bytes depend only on the data). Appends this version's hash list to
-/// `out_hashes`.
-ChunkEncodeStats encode_chunked_vector(
-    ByteWriter& out, std::span<const double> vec, const Compressor& comp,
-    std::size_t chunk_elems, const std::vector<std::uint64_t>* base_hashes,
-    std::vector<std::uint64_t>& out_hashes);
+/// Emit: append the manifest of a vector of `elems` doubles, planned as
+/// `hashes`/`tags`, to `out`. `literal(c)` returns the compressed payload
+/// of literal chunk `c`; it is called once per literal, in chunk order.
+/// Returns the literal payload bytes written.
+std::size_t emit_chunked_vector(
+    ByteWriter& out, const std::string& comp_name, std::size_t elems,
+    std::size_t chunk_elems, std::span<const std::uint64_t> hashes,
+    std::span<const ChunkTag> tags,
+    const std::function<std::vector<byte_t>(std::size_t)>& literal);
 
 // ----- parsed view of a delta stream ----------------------------------------
 

@@ -3,7 +3,6 @@
 #include <cstring>
 
 #include "common/byte_buffer.hpp"
-#include "compress/block_compressor.hpp"
 #include "compress/lossless_compressors.hpp"
 #include "compress/pwrel_adapter.hpp"
 #include "compress/sz/sz_like.hpp"
@@ -33,10 +32,6 @@ void NoneCompressor::decompress(std::span<const byte_t> stream,
 
 std::unique_ptr<Compressor> make_compressor(const std::string& name,
                                             ErrorBound eb) {
-  // "block+<inner>": wrap any compressor in the parallel block pipeline.
-  if (name.starts_with("block+"))
-    return std::make_unique<BlockCompressor>(
-        make_compressor(name.substr(6), eb));
   if (name == "none") return std::make_unique<NoneCompressor>();
   if (name == "rle") return std::make_unique<RleCompressor>();
   if (name == "shuffle-rle") return std::make_unique<ShuffleRleCompressor>();
@@ -63,7 +58,7 @@ std::unique_ptr<Compressor> make_compressor(const std::string& name,
   throw config_error(
       "unknown compressor: '" + name +
       "' (valid: none, rle, shuffle-rle, deflate, shuffle-deflate, lz4, "
-      "shuffle-lz4, sz, zfp, trunc, or any of them behind a block+ prefix)");
+      "shuffle-lz4, sz, zfp, trunc)");
 }
 
 double compression_ratio(const Compressor& c, std::span<const double> data) {

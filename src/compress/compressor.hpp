@@ -58,7 +58,8 @@ class LossyCompressor : public Compressor {
  public:
   [[nodiscard]] bool lossy() const noexcept final { return true; }
 
-  void set_error_bound(ErrorBound eb) { eb_ = eb; }
+  /// Not while another thread compresses with this compressor.
+  virtual void set_error_bound(ErrorBound eb) { eb_ = eb; }
   [[nodiscard]] ErrorBound error_bound() const noexcept { return eb_; }
 
  protected:
@@ -69,8 +70,7 @@ class LossyCompressor : public Compressor {
 /// Identity "compressor" — the traditional checkpointing scheme.
 class NoneCompressor final : public Compressor {
  public:
-  /// Stream layout constants, public so the checkpoint serializer can emit
-  /// the verbatim format directly without an intermediate payload buffer.
+  /// Stream layout: magic, u64 element count, then the raw doubles.
   static constexpr std::uint32_t kMagic = 0x454e4f4eu;  // "NONE"
   static constexpr std::size_t kHeaderBytes =
       sizeof(std::uint32_t) + sizeof(std::uint64_t);
@@ -85,9 +85,10 @@ class NoneCompressor final : public Compressor {
 
 /// Factory: create a compressor by name.
 /// Names: "none", "rle", "shuffle-rle", "deflate", "shuffle-deflate",
-/// "sz", "zfp", "trunc". Lossy ones receive `eb`. A "block+" prefix
-/// (e.g. "block+sz") wraps the inner compressor in the parallel
-/// block-compression pipeline (see block_compressor.hpp).
+/// "lz4", "shuffle-lz4", "sz", "zfp", "trunc". Lossy ones receive `eb`.
+/// Unknown names throw config_error listing the valid ones. Chunking a
+/// large vector is the checkpoint manager's job, not a codec's (see
+/// CheckpointManager::set_block_pipeline).
 [[nodiscard]] std::unique_ptr<Compressor> make_compressor(
     const std::string& name, ErrorBound eb = ErrorBound::pointwise_rel(1e-4));
 

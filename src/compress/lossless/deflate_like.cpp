@@ -202,6 +202,12 @@ constexpr byte_t kFormatStored = 0;
 }  // namespace
 
 std::vector<byte_t> deflate_compress(std::span<const byte_t> in) {
+  ByteWriter out;
+  deflate_compress(in, out);
+  return std::move(out).take();
+}
+
+void deflate_compress(std::span<const byte_t> in, ByteWriter& out) {
   const std::vector<Token> tokens = tokenize(in);
 
   // Histogram both alphabets, and count the extra bits the matches carry.
@@ -234,7 +240,7 @@ std::vector<byte_t> deflate_compress(std::span<const byte_t> in) {
     payload_bits += dist_freq[s] * dist_lengths[s];
   const std::uint64_t payload_bytes = (payload_bits + 7) / 8;
 
-  ByteWriter out;
+  const std::size_t start = out.size();
   out.put(kFormatHuffman);
   out.put(static_cast<std::uint64_t>(in.size()));
   write_code_lengths(out, lit_lengths, kLitLenAlphabet);
@@ -242,18 +248,18 @@ std::vector<byte_t> deflate_compress(std::span<const byte_t> in) {
   out.put(payload_bytes);
 
   // Stored fallback if "compression" would expand the data.
-  if (out.size() + payload_bytes >= in.size() + 9) {
-    ByteWriter stored;
-    stored.put(kFormatStored);
-    stored.put(static_cast<std::uint64_t>(in.size()));
-    stored.put_bytes(in);
-    return std::move(stored).take();
+  if (out.size() - start + payload_bytes >= in.size() + 9) {
+    out.bytes().resize(start);
+    out.put(kFormatStored);
+    out.put(static_cast<std::uint64_t>(in.size()));
+    out.put_bytes(in);
+    return;
   }
 
-  const std::size_t header_bytes = out.size();
+  const std::size_t header_end = out.size();
   const HuffmanEncoder lit_enc(lit_lengths);
   const HuffmanEncoder dist_enc(dist_lengths);
-  BitWriter bw(std::move(out).take());
+  BitWriter bw(std::move(out.bytes()));
   bw.reserve_bits(payload_bits);
   for (const Token t : tokens) {
     if (t >= kMatchFlag) {
@@ -270,10 +276,9 @@ std::vector<byte_t> deflate_compress(std::span<const byte_t> in) {
     }
   }
   lit_enc.encode(bw, kEob);
-  std::vector<byte_t> stream = bw.finish();
-  require(stream.size() == header_bytes + payload_bytes,
+  out.bytes() = bw.finish();
+  require(out.size() == header_end + payload_bytes,
           "deflate: coded payload size differs from its prediction");
-  return stream;
 }
 
 void deflate_decompress(std::span<const byte_t> in, std::span<byte_t> out) {

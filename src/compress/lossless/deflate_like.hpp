@@ -26,9 +26,15 @@
 
 namespace lck {
 
+class ByteWriter;
+
 /// Compress raw bytes. Always succeeds; incompressible input grows by a few
 /// header bytes (a "stored" fallback keeps the worst case small).
 [[nodiscard]] std::vector<byte_t> deflate_compress(std::span<const byte_t> in);
+
+/// The same stream, appended to `out` (e.g. after a caller's own header)
+/// instead of returned in a buffer of its own.
+void deflate_compress(std::span<const byte_t> in, ByteWriter& out);
 
 /// Decompress into a caller-provided buffer that must be filled exactly:
 /// `out.size()` must match the original input size. Throws

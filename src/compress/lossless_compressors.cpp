@@ -64,9 +64,14 @@ std::vector<byte_t> DeflateCompressor::compress(
     staged = shuffle_bytes(input, sizeof(double));
     input = staged;
   }
-  const auto enc = deflate_compress(input);
-  out.put(static_cast<std::uint64_t>(enc.size()));
-  out.put_bytes(enc);
+  // The coded stream goes straight after the header; its size field is
+  // filled in once the stream is there.
+  const std::size_t size_at = out.size();
+  out.put(std::uint64_t{0});
+  deflate_compress(input, out);
+  const auto enc_size =
+      static_cast<std::uint64_t>(out.size() - size_at - sizeof(std::uint64_t));
+  std::memcpy(out.bytes().data() + size_at, &enc_size, sizeof enc_size);
   return std::move(out).take();
 }
 

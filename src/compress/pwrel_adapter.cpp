@@ -15,6 +15,12 @@ constexpr std::uint32_t kMagic = 0x324c5250u;
 
 }  // namespace
 
+void PointwiseRelativeAdapter::set_error_bound(ErrorBound eb) {
+  LossyCompressor::set_error_bound(eb);
+  inner_->set_error_bound(
+      ErrorBound::absolute(std::log2(1.0 + 0.999 * eb.value)));
+}
+
 std::vector<byte_t> PointwiseRelativeAdapter::compress(
     std::span<const double> data) const {
   const std::size_t n = data.size();
@@ -33,8 +39,6 @@ std::vector<byte_t> PointwiseRelativeAdapter::compress(
     if (!is_exact) logs.push_back(std::log2(std::fabs(x)));
   }
 
-  inner_->set_error_bound(
-      ErrorBound::absolute(std::log2(1.0 + 0.999 * eb)));
   const auto inner_stream = inner_->compress(logs);
 
   ByteWriter out;

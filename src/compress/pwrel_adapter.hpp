@@ -20,7 +20,12 @@ class PointwiseRelativeAdapter final : public LossyCompressor {
       : LossyCompressor(ErrorBound::pointwise_rel(eb)),
         inner_(std::move(inner)) {
     require(inner_ != nullptr, "pwrel adapter: null inner compressor");
+    set_error_bound(eb_);
   }
+
+  /// Sets the inner compressor's absolute bound on the logs here, so
+  /// compress() mutates nothing and two threads may share the adapter.
+  void set_error_bound(ErrorBound eb) override;
 
   [[nodiscard]] std::string name() const override {
     return "pwrel+" + inner_->name();

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <chrono>
@@ -384,8 +385,8 @@ class GateCompressor final : public Compressor {
 TEST(AsyncManager, ThirdStageBlocksUntilASlotDrains) {
   GateCompressor gate;
   CheckpointManager mgr(std::make_unique<MemoryStore>(), &gate);
-  // Keep the manager's automatic block pipeline out of the way so the gate
-  // compressor sees exactly one compress() call per stage.
+  // Keep the manager's chunking out of the way so the gate compressor sees
+  // exactly one compress() call per stage.
   mgr.set_block_pipeline(0);
   Vector x(64, 1.0);
   mgr.protect(0, "x", &x);
@@ -535,6 +536,76 @@ TEST(AsyncManager, CodecErrorOnJoinersChunkSurfacesFromWaitDrain) {
     mgr.wait_drain(v);
     mgr.commit_version(v);
   }
+  x.assign(x.size(), 0.0);
+  mgr.recover();
+  EXPECT_EQ(x, original);
+}
+
+TEST(AsyncManager, HelpedDeltaDrainIsBitIdenticalToSyncCheckpoint) {
+  // Delta chain 2 over three versions, half of x's chunks changed each
+  // time: the owner compresses some literal chunks of every drain, yet each
+  // stored stream is checkpoint()'s, byte for byte.
+  Vector x = random_vector(20000, 6);
+  Vector p = random_vector(20000, 7);
+  const auto deflate = make_compressor("deflate");
+  CheckpointManager sync_mgr(std::make_unique<MemoryStore>(), deflate.get());
+  HandoffCompressor handoff;
+  obs::MetricsRegistry reg;
+  CheckpointManager async_mgr(std::make_unique<MemoryStore>(), &handoff);
+  async_mgr.set_observability({&reg, nullptr});
+  for (CheckpointManager* m : {&sync_mgr, &async_mgr}) {
+    m->set_delta(2, 1024);
+    m->set_retention(3);
+    m->protect(0, "x", &x);
+    m->protect(1, "p", &p);
+  }
+
+  for (int k = 0; k < 3; ++k) {
+    SCOPED_TRACE(k);
+    for (std::size_t i = 0; i < x.size(); i += 2048)  // every other chunk
+      for (std::size_t j = i; j < std::min(i + 1024, x.size()); ++j)
+        x[j] += 0.5;
+    const CheckpointRecord sync_rec = sync_mgr.checkpoint();
+    handoff.reset(/*fail_on_owner=*/false);
+    const StageTicket t = async_mgr.stage();
+    const CheckpointRecord rec = async_mgr.wait_drain(t.version);
+    async_mgr.commit_version(t.version);
+    EXPECT_EQ(rec.chain_len, static_cast<std::uint32_t>(k));
+    EXPECT_EQ(rec.chunks_deduped, sync_rec.chunks_deduped);
+    EXPECT_EQ(sync_mgr.store().read(sync_rec.version),
+              async_mgr.store().read(t.version));
+    EXPECT_GE(handoff.owner_calls(), 1) << "the joiner never helped";
+  }
+  EXPECT_GT(reg.snapshot().counter("ckpt.drain_helped_chunks"), 0.0);
+
+  const Vector last_x = x, last_p = p;
+  x.assign(x.size(), 0.0);
+  p.assign(p.size(), 0.0);
+  async_mgr.recover();
+  EXPECT_EQ(x, last_x);
+  EXPECT_EQ(p, last_p);
+}
+
+TEST(AsyncManager, CodecErrorOnJoinersChunkInDeltaDrainSurfacesFromWaitDrain) {
+  HandoffCompressor handoff;
+  CheckpointManager mgr(std::make_unique<MemoryStore>(), &handoff);
+  mgr.set_delta(2, 1024);
+  Vector x = random_vector(20000, 8);
+  const Vector original = x;
+  mgr.protect(0, "x", &x);
+
+  handoff.reset(/*fail_on_owner=*/true);
+  const StageTicket bad = mgr.stage();
+  EXPECT_THROW((void)mgr.wait_drain(bad.version), corrupt_stream_error);
+  EXPECT_GE(handoff.owner_calls(), 1);
+  mgr.abort_version(bad.version);
+  EXPECT_FALSE(mgr.store().has_pending(bad.version));
+  EXPECT_EQ(mgr.versions_in_flight(), 0);
+
+  handoff.reset(/*fail_on_owner=*/false);
+  const StageTicket t = mgr.stage();
+  mgr.wait_drain(t.version);
+  mgr.commit_version(t.version);
   x.assign(x.size(), 0.0);
   mgr.recover();
   EXPECT_EQ(x, original);

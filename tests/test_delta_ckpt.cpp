@@ -19,6 +19,7 @@
 #include "core/experiment.hpp"
 #include "core/resilient_runner.hpp"
 #include "compress/sz/sz_like.hpp"
+#include "support/chunk_encode.hpp"
 
 #if defined(_OPENMP)
 #include <omp.h>

@@ -26,6 +26,7 @@
 #include "sparse/gen/poisson3d.hpp"
 #include "sparse/gen/random_spd.hpp"
 #include "sparse/vector_ops.hpp"
+#include "support/chunk_encode.hpp"
 #include "support/reference_spmv.hpp"
 
 #if defined(_OPENMP)

@@ -1,9 +1,12 @@
 /// Seeded mutation tests for the entropy-coded decoders: deflate_decompress
 /// and the SZ-like and ZFP-like decompressors, which share the bit reader
-/// and the Huffman decoder. Every bit flip, truncation and 8-byte overwrite
-/// of a valid stream must end in either a correctly sized output or a
-/// corrupt_stream_error: no other exception, no crash, and — under the
-/// ASan/UBSan builds — no out-of-bounds access or undefined behaviour.
+/// and the Huffman decoder, and for two checkpoint streams around them: an
+/// SZ delta stream through parse_delta_stream and a framed checkpoint
+/// recovered through CheckpointManager. Every bit flip, truncation and
+/// 8-byte overwrite of a valid stream must end in either a correctly sized
+/// output or a corrupt_stream_error: no other exception, no crash, and —
+/// under the ASan/UBSan builds — no out-of-bounds access or undefined
+/// behaviour.
 
 #include <gtest/gtest.h>
 
@@ -12,12 +15,16 @@
 #include <limits>
 #include <typeinfo>
 
+#include "ckpt/checkpoint_manager.hpp"
+#include "ckpt/chunk/chunk_codec.hpp"
 #include "common/byte_buffer.hpp"
+#include "common/crc32.hpp"
 #include "common/rng.hpp"
 #include "compress/compressor.hpp"
 #include "compress/huffman.hpp"
 #include "compress/lossless/deflate_like.hpp"
 #include "sparse/vector_ops.hpp"
+#include "support/chunk_encode.hpp"
 
 namespace lck {
 namespace {
@@ -228,6 +235,107 @@ TEST(StreamMutation, SzChunkWithCodesAtBothAlphabetEndsDecodesOrRejects) {
   });
   EXPECT_GT(o.decoded, 0);
   EXPECT_GT(o.rejected, 0);
+}
+
+
+TEST(StreamMutation, SzDeltaStreamParsesOrRejects) {
+  // A full DKPT stream (two SZ vectors at the 4,096-element chunk size and
+  // a blob) through parse_delta_stream, then every literal decoded as
+  // recovery would.
+  const Vector x = field(3 * 4096 + 100, 6);
+  const Vector y(2 * 4096, 1.25);  // its second chunk is a within-stream ref
+  const std::vector<byte_t> blob{1, 2, 3, 4, 5};
+  const auto sz = make_compressor("sz", ErrorBound::pointwise_rel(1e-4));
+  ByteWriter out;
+  out.put(kDeltaMagic);
+  out.put(kDeltaFormatVersion);
+  out.put(std::int32_t{-1});
+  out.put(std::uint32_t{0});
+  out.put(std::uint32_t{3});
+  std::vector<std::uint64_t> hashes;
+  for (const auto& [id, v] : {std::pair{0, &x}, std::pair{1, &y}}) {
+    out.put(std::int32_t{id});
+    out.put_string(id == 0 ? "x" : "y");
+    out.put(static_cast<std::uint8_t>(DeltaVarKind::kVector));
+    (void)encode_chunked_vector(out, *v, *sz, 4096, nullptr, hashes);
+  }
+  out.put(std::int32_t{2});
+  out.put_string("s");
+  out.put(static_cast<std::uint8_t>(DeltaVarKind::kBlob));
+  out.put(static_cast<std::uint64_t>(blob.size()));
+  out.put(crc32(blob));
+  out.put_bytes(blob);
+  const auto stream = std::move(out).take();
+
+  const auto decode = [&](const std::vector<byte_t>& m) {
+    const ParsedDeltaStream parsed = parse_delta_stream(m);
+    for (const auto& var : parsed.vars) {
+      if (var.kind != DeltaVarKind::kVector) continue;
+      const ChunkGeometry geo(static_cast<std::size_t>(var.elem_count),
+                              static_cast<std::size_t>(var.chunk_elems));
+      Vector chunk;
+      for (std::size_t c = 0; c < var.chunks.size(); ++c) {
+        if (var.chunks[c].tag != ChunkTag::kLiteral) continue;
+        chunk.resize(geo.length(c));
+        sz->decompress(var.chunks[c].payload, chunk);
+      }
+    }
+  };
+  ASSERT_NO_THROW(decode(stream));
+  // A count field claiming more entries than the stream has bytes for is
+  // rejected before it sizes anything.
+  auto huge_count = stream;
+  const std::uint32_t all_ones = 0xffffffffu;
+  std::memcpy(huge_count.data() + 14, &all_ones, sizeof all_ones);
+  EXPECT_THROW(decode(huge_count), corrupt_stream_error);
+
+  const auto o = run_mutations(stream, 1000, 51, decode);
+  RecordProperty("decoded", o.decoded);
+  RecordProperty("rejected", o.rejected);
+  EXPECT_GT(o.rejected, o.decoded);
+}
+
+TEST(StreamMutation, FramedCheckpointRecoversOrRejects) {
+  // A framed checkpoint (an SZ vector in 1,024-element chunks, a small
+  // vector and a blob, lz4 frames) recovered through the manager.
+  const Vector x = field(3000, 7);
+  const Vector y = field(100, 8);
+  std::vector<byte_t> blob{9, 8, 7};
+  const auto sz = make_compressor("sz", ErrorBound::pointwise_rel(1e-4));
+  StreamingConfig cfg;
+  cfg.frame_elems = 512;
+  cfg.wbuf_bytes = 4096;
+  std::vector<byte_t> stream;
+  {
+    auto store = std::make_unique<MemoryStore>();
+    auto* store_raw = store.get();
+    CheckpointManager mgr(std::move(store), sz.get());
+    mgr.set_streaming(cfg);
+    mgr.set_block_pipeline(1024);
+    Vector xr, yr;
+    mgr.protect(0, "x", &x, &xr);
+    mgr.protect(1, "y", &y, &yr);
+    mgr.protect_blob(2, "s", &blob);
+    mgr.checkpoint();
+    stream = store_raw->read(0);
+  }
+
+  const auto decode = [&](const std::vector<byte_t>& m) {
+    auto store = std::make_unique<MemoryStore>();
+    store->write(0, m);
+    CheckpointManager mgr(std::move(store), sz.get());
+    Vector xr, yr;
+    std::vector<byte_t> br;
+    mgr.protect(0, "x", &xr);
+    mgr.protect(1, "y", &yr);
+    mgr.protect_blob(2, "s", &br);
+    mgr.recover();
+  };
+  ASSERT_NO_THROW(decode(stream));
+  const auto o = run_mutations(stream, 1000, 52, decode);
+  RecordProperty("decoded", o.decoded);
+  RecordProperty("rejected", o.rejected);
+  EXPECT_GT(o.rejected, o.decoded);
 }
 
 }  // namespace
