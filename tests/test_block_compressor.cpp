@@ -1,7 +1,9 @@
-/// Property tests for the parallel block-compression pipeline: round trips
-/// across every factory compressor × error-bound mode × block-boundary
-/// sizes, per-element error-bound verification, per-block CRC corruption
-/// detection, framing errors, and the CheckpointManager integration.
+/// Chunk (block) compression of checkpointed vectors: every vector longer
+/// than the manager's chunk size is coded chunk by chunk into the framed
+/// layout. Per-element error bounds for every codec and bound mode around
+/// chunk boundaries (written by checkpoint() and by a staged drain), the
+/// chunk size read back from the stream, corrupt chunk lengths and
+/// payloads, and the retired "block+<codec>" names.
 
 #include <gtest/gtest.h>
 
@@ -11,38 +13,56 @@
 #include <tuple>
 
 #include "ckpt/checkpoint_manager.hpp"
+#include "ckpt/frame_stream.hpp"
+#include "common/byte_buffer.hpp"
+#include "common/crc32.hpp"
 #include "common/rng.hpp"
-#include "compress/block_compressor.hpp"
 #include "compress/compressor.hpp"
 
 namespace lck {
 namespace {
 
-// Small block so even modest test vectors span several blocks.
-constexpr std::size_t kBlock = 256;
-
-Vector solver_like(std::size_t n, std::uint64_t seed = 1) {
+Vector smooth_vector(std::size_t n, std::uint64_t seed) {
   Rng rng(seed);
   Vector v(n);
   for (std::size_t i = 0; i < n; ++i)
-    v[i] = std::sin(0.01 * static_cast<double>(i)) + 2.0 +
-           1e-6 * rng.uniform(-1.0, 1.0);
+    v[i] = std::sin(0.003 * static_cast<double>(i)) + 2.0 +
+           1e-3 * rng.uniform();
   return v;
 }
 
-double range_of(const Vector& v) {
-  if (v.empty()) return 0.0;
-  const auto [lo, hi] = std::minmax_element(v.begin(), v.end());
-  return *hi - *lo;
+StreamingConfig small_frames(const std::string& style) {
+  StreamingConfig cfg;
+  cfg.frame_elems = 512;
+  cfg.wbuf_bytes = 4096;
+  cfg.style = style;
+  return cfg;
+}
+
+/// One checkpoint in `mode` (sync inline; async through the staged drain),
+/// then recover.
+void checkpoint_and_recover(CheckpointManager& mgr, CkptMode mode) {
+  if (mode == CkptMode::kSync) {
+    mgr.checkpoint();
+  } else {
+    const StageTicket t = mgr.stage();
+    mgr.wait_drain(t.version);
+    mgr.commit_version(t.version);
+  }
+  mgr.recover();
 }
 
 /// Per-element check that `out` respects `eb` relative to `in`. For the
-/// value-range-relative mode the block pipeline uses per-block ranges,
-/// which are never larger than the global range, so checking against the
-/// global range is the correct (weakest) guarantee.
+/// value-range-relative mode each chunk is coded against its own range,
+/// which is never larger than the whole vector's, so checking against the
+/// whole range is the correct (weakest) guarantee.
 void expect_bound_holds(const Vector& in, const Vector& out, ErrorBound eb) {
   ASSERT_EQ(in.size(), out.size());
-  const double vrr_tol = eb.value * range_of(in);
+  double range = 0.0;
+  if (!in.empty()) {
+    const auto [lo, hi] = std::minmax_element(in.begin(), in.end());
+    range = *hi - *lo;
+  }
   for (std::size_t i = 0; i < in.size(); ++i) {
     const double err = std::fabs(in[i] - out[i]);
     switch (eb.mode) {
@@ -50,7 +70,7 @@ void expect_bound_holds(const Vector& in, const Vector& out, ErrorBound eb) {
         ASSERT_LE(err, eb.value + 1e-300) << "index " << i;
         break;
       case ErrorBound::Mode::kValueRangeRelative:
-        ASSERT_LE(err, vrr_tol + 1e-300) << "index " << i;
+        ASSERT_LE(err, eb.value * range + 1e-300) << "index " << i;
         break;
       case ErrorBound::Mode::kPointwiseRelative:
         ASSERT_LE(err, eb.value * std::fabs(in[i]) + 1e-300) << "index " << i;
@@ -59,88 +79,42 @@ void expect_bound_holds(const Vector& in, const Vector& out, ErrorBound eb) {
   }
 }
 
-// ----- round trips: compressor × error-bound mode × size --------------------
+using BoundCase = std::tuple<const char*, ErrorBound::Mode>;
 
-using Case = std::tuple<const char*, ErrorBound::Mode>;
+class FramedChunkBounds : public ::testing::TestWithParam<BoundCase> {};
 
-class BlockRoundTrip : public ::testing::TestWithParam<Case> {
- protected:
-  [[nodiscard]] static ErrorBound bound(ErrorBound::Mode mode) {
-    ErrorBound eb;
-    eb.mode = mode;
-    eb.value = mode == ErrorBound::Mode::kAbsolute ? 1e-4 : 1e-5;
-    return eb;
-  }
-};
-
-TEST_P(BlockRoundTrip, BoundarySizesRoundTripWithinBound) {
+TEST_P(FramedChunkBounds, EveryElementWithinBoundAroundChunkBoundaries) {
+  // 0, 1, ±1 around one chunk, and a multi-chunk odd size, written by
+  // checkpoint() and by a staged drain.
   const auto [name, mode] = GetParam();
-  const ErrorBound eb = bound(mode);
-  const auto inner = make_compressor(name, eb);
-  const BlockCompressor blk(inner.get(), kBlock);
-
-  // 0, 1, a single odd-size block, the exact block boundary, and ±1
-  // around it plus a multi-block odd size.
-  for (const std::size_t n :
-       {std::size_t{0}, std::size_t{1}, std::size_t{97}, kBlock - 1, kBlock,
-        kBlock + 1, 3 * kBlock - 1, 3 * kBlock, 3 * kBlock + 1,
-        std::size_t{1000}}) {
-    SCOPED_TRACE("n=" + std::to_string(n));
-    const Vector in = solver_like(n, n + 1);
-    const auto stream = blk.compress(in);
-    Vector out(n, -999.0);
-    blk.decompress(stream, out);
-    if (inner->lossy()) {
-      expect_bound_holds(in, out, eb);
-    } else {
-      // Lossless codecs must reproduce the input bit-identically, exactly
-      // as the single-shot path does.
-      EXPECT_EQ(in, out);
+  const ErrorBound eb{mode, mode == ErrorBound::Mode::kAbsolute ? 1e-4 : 1e-5};
+  const auto comp = make_compressor(name, eb);
+  constexpr std::size_t c = 256;
+  for (const CkptMode ckpt_mode : {CkptMode::kSync, CkptMode::kAsync}) {
+    for (const std::size_t n : {std::size_t{0}, std::size_t{1}, c - 1, c,
+                                c + 1, 3 * c + 7}) {
+      SCOPED_TRACE(std::string(to_string(ckpt_mode)) +
+                   " n=" + std::to_string(n));
+      const Vector in = smooth_vector(n, n + 1);
+      Vector out(n + 3, -999.0);
+      CheckpointManager mgr(std::make_unique<MemoryStore>(), comp.get());
+      mgr.set_block_pipeline(c);
+      mgr.protect(0, "x", &in, &out);
+      checkpoint_and_recover(mgr, ckpt_mode);
+      if (comp->lossy())
+        expect_bound_holds(in, out, eb);
+      else
+        EXPECT_EQ(out, in);  // lossless codecs: bit-exact
     }
   }
 }
 
-TEST_P(BlockRoundTrip, MatchesSingleShotDecompressedOutput) {
-  const auto [name, mode] = GetParam();
-  const ErrorBound eb = bound(mode);
-  const auto inner = make_compressor(name, eb);
-  const BlockCompressor blk(inner.get(), kBlock);
-  const Vector in = solver_like(kBlock, 42);  // exactly one block
-
-  // With a single block the pipeline payload is the inner stream itself,
-  // so decompressed outputs must agree bit-for-bit even for lossy codecs.
-  Vector via_block(in.size()), via_inner(in.size());
-  blk.decompress(blk.compress(in), via_block);
-  inner->decompress(inner->compress(in), via_inner);
-  EXPECT_EQ(via_block, via_inner);
-}
-
-TEST_P(BlockRoundTrip, CrcDetectsCorruptionInEveryBlock) {
-  const auto [name, mode] = GetParam();
-  const auto inner = make_compressor(name, bound(mode));
-  const BlockCompressor blk(inner.get(), kBlock);
-  const Vector in = solver_like(4 * kBlock, 3);
-  const auto stream = blk.compress(in);
-
-  // The index table ends after the 24-byte header + 4 frames à 12 bytes;
-  // everything beyond is block payload. Flip one bit in each quarter.
-  const std::size_t payload_start = 24 + 4 * 12;
-  ASSERT_LT(payload_start, stream.size());
-  const std::size_t payload_len = stream.size() - payload_start;
-  for (int q = 0; q < 4; ++q) {
-    auto corrupted = stream;
-    corrupted[payload_start + (payload_len * q) / 4] ^= 0x10;
-    Vector out(in.size());
-    EXPECT_THROW(blk.decompress(corrupted, out), corrupt_stream_error)
-        << "corruption in quarter " << q << " undetected";
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(
-    Codecs, BlockRoundTrip,
+    Codecs, FramedChunkBounds,
     ::testing::Combine(
         ::testing::Values("none", "rle", "shuffle-rle", "deflate",
-                          "shuffle-deflate", "sz", "zfp", "trunc"),
+                          "shuffle-deflate", "lz4", "shuffle-lz4", "sz", "zfp",
+                          "trunc"),
         ::testing::Values(ErrorBound::Mode::kAbsolute,
                           ErrorBound::Mode::kValueRangeRelative,
                           ErrorBound::Mode::kPointwiseRelative)),
@@ -155,165 +129,139 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
-// ----- framing and interface ------------------------------------------------
-
-TEST(BlockCompressor, NameAndLossyDelegateToInner) {
-  const BlockCompressor lossless(make_compressor("deflate"));
-  EXPECT_EQ(lossless.name(), "block+deflate");
-  EXPECT_FALSE(lossless.lossy());
-  const BlockCompressor lossy(make_compressor("sz"));
-  EXPECT_EQ(lossy.name(), "block+sz");
-  EXPECT_TRUE(lossy.lossy());
-}
-
-TEST(BlockCompressor, FactorySupportsBlockPrefix) {
-  const auto c = make_compressor("block+sz", ErrorBound::pointwise_rel(1e-5));
-  EXPECT_EQ(c->name(), "block+sz");
-  const Vector in = solver_like(1000, 5);
-  Vector out(in.size());
-  c->decompress(c->compress(in), out);
-  expect_bound_holds(in, out, ErrorBound::pointwise_rel(1e-5));
-}
-
-TEST(BlockCompressor, RejectsBadConstruction) {
-  EXPECT_THROW(BlockCompressor(static_cast<const Compressor*>(nullptr)),
-               config_error);
-  NoneCompressor none;
-  EXPECT_THROW(BlockCompressor(&none, 0), config_error);
-}
-
-TEST(BlockCompressor, RejectsMalformedStreams) {
-  NoneCompressor none;
-  const BlockCompressor blk(&none, kBlock);
-  const Vector in = solver_like(2 * kBlock, 7);
-  const auto stream = blk.compress(in);
-  Vector out(in.size());
-
-  auto bad_magic = stream;
-  bad_magic[0] ^= 0xff;
-  EXPECT_THROW(blk.decompress(bad_magic, out), corrupt_stream_error);
-
-  Vector wrong_size(in.size() + 1);
-  EXPECT_THROW(blk.decompress(stream, wrong_size), corrupt_stream_error);
-
-  auto truncated = stream;
-  truncated.resize(truncated.size() - 1);
-  EXPECT_THROW(blk.decompress(truncated, out), corrupt_stream_error);
-
-  auto trailing = stream;
-  trailing.push_back(0);
-  EXPECT_THROW(blk.decompress(trailing, out), corrupt_stream_error);
-}
-
-TEST(BlockCompressor, HugeFrameSizeRejectedWithoutOverflow) {
-  // A corrupted frame size near 2^63 must surface as corrupt_stream_error,
-  // not wrap the payload-offset arithmetic into an out-of-bounds read.
-  NoneCompressor none;
-  const BlockCompressor blk(&none, kBlock);
-  const Vector in = solver_like(2 * kBlock, 9);
-  auto stream = blk.compress(in);
-  // First frame's u64 size field starts right after the 24-byte header.
-  const std::uint64_t huge = (std::uint64_t{1} << 63) + 6;
-  std::memcpy(stream.data() + 24, &huge, sizeof(huge));
-  Vector out(in.size());
-  EXPECT_THROW(blk.decompress(stream, out), corrupt_stream_error);
-
-  // And a corrupted block size near 2^64 must not wrap the expected block
-  // count to 0 and decompress "successfully" without writing anything: a
-  // header-only stream claiming nblocks == 0 for a non-empty vector.
-  auto huge_be = blk.compress(in);
-  huge_be.resize(24);
-  const std::uint64_t be = ~std::uint64_t{0} - 500;
-  std::memcpy(huge_be.data() + 12, &be, sizeof(be));  // block_elems field
-  std::uint32_t zero_blocks = 0;
-  std::memcpy(huge_be.data() + 20, &zero_blocks, sizeof(zero_blocks));
-  EXPECT_THROW(blk.decompress(huge_be, out), corrupt_stream_error);
-}
-
-TEST(BlockCompressor, EmptyInputProducesHeaderOnlyStream) {
-  NoneCompressor none;
-  const BlockCompressor blk(&none, kBlock);
-  const auto stream = blk.compress(Vector{});
-  EXPECT_EQ(stream.size(), 24u);  // magic + total + block_elems + count
-  Vector out;
-  blk.decompress(stream, out);  // must not throw
-}
-
-// ----- CheckpointManager integration ---------------------------------------
-
-TEST(BlockCompressor, ManagerUsesBlockPipelineForLargeVectors) {
-  NoneCompressor none;
-  CheckpointManager mgr(std::make_unique<MemoryStore>(), &none);
-  mgr.set_block_pipeline(kBlock);
-  Vector big = solver_like(10 * kBlock, 11);
-  Vector small = solver_like(kBlock / 2, 12);
-  mgr.protect(0, "big", &big);
-  mgr.protect(1, "small", &small);
-  const Vector big_saved = big, small_saved = small;
-  mgr.checkpoint();
-  big.assign(big.size(), 0.0);
-  small.assign(small.size(), 0.0);
-  mgr.recover();
-  EXPECT_EQ(big, big_saved);
-  EXPECT_EQ(small, small_saved);
-}
-
-TEST(BlockCompressor, ManagerRecoversBlockCheckpointWithPipelineDisabled) {
-  // The stored compressor name, not the current configuration, decides the
-  // layout on recovery: a checkpoint written with the pipeline enabled must
-  // recover after the pipeline is turned off (and vice versa).
-  NoneCompressor none;
-  CheckpointManager mgr(std::make_unique<MemoryStore>(), &none);
-  mgr.set_block_pipeline(kBlock);
-  Vector x = solver_like(5 * kBlock, 13);
-  mgr.protect(0, "x", &x);
+TEST(FramedChunks, ChunkSizeIsReadFromTheStream) {
+  // A checkpoint written with one chunk size recovers under another, and
+  // one written unchunked recovers once chunking is back on.
+  const auto deflate = make_compressor("deflate");
+  CheckpointManager mgr(std::make_unique<MemoryStore>(), deflate.get());
+  mgr.set_block_pipeline(256);
+  Vector x = smooth_vector(5 * 256 + 3, 13);
   const Vector saved = x;
+  mgr.protect(0, "x", &x);
   mgr.checkpoint();
-
-  mgr.set_block_pipeline(0);  // disable
+  mgr.set_block_pipeline(0);
   x.assign(x.size(), -1.0);
   mgr.recover();
   EXPECT_EQ(x, saved);
 
-  mgr.checkpoint();  // single-shot layout this time
-  mgr.set_block_pipeline(kBlock);
+  mgr.checkpoint();  // one payload this time
+  mgr.set_block_pipeline(256);
   x.assign(x.size(), -1.0);
   mgr.recover();
   EXPECT_EQ(x, saved);
 }
 
-TEST(BlockCompressor, ManagerDoesNotDoubleWrapBlockCompressors) {
-  // A registered "block+sz" must not be nested inside a second pipeline
-  // layer when the manager's automatic threshold also triggers.
-  const auto blk_sz = make_compressor("block+sz");
+/// Framed checkpoint of `x` whose whole logical stream sits in one raw
+/// frame, so a test can edit that stream and re-seal the frame's CRC.
+std::vector<byte_t> one_frame_checkpoint(const Compressor& comp,
+                                         const Vector& x, std::size_t chunk) {
   auto store = std::make_unique<MemoryStore>();
   auto* store_raw = store.get();
-  CheckpointManager mgr(std::move(store), blk_sz.get());
-  mgr.set_block_pipeline(kBlock);
-  Vector x = solver_like(4 * kBlock, 19);
-  mgr.protect(0, "x", &x);
+  CheckpointManager mgr(std::move(store), &comp);
+  StreamingConfig cfg = small_frames("raw");
+  cfg.frame_elems = std::size_t{1} << 17;
+  mgr.set_streaming(cfg);
+  mgr.set_block_pipeline(chunk);
+  Vector unused;
+  mgr.protect(0, "x", &x, &unused);
   mgr.checkpoint();
-  const auto raw = store_raw->read(0);
-  const std::string nested = "block+block+sz";
-  EXPECT_EQ(std::search(raw.begin(), raw.end(), nested.begin(), nested.end()),
-            raw.end())
-      << "checkpoint stream contains a nested block layer";
-  x.assign(x.size(), 0.0);
-  mgr.recover();  // and the single-layer stream must still recover
+  return store_raw->read(0);
 }
 
-TEST(BlockCompressor, ManagerBlockCheckpointKeepsLossyBound) {
-  const ErrorBound eb = ErrorBound::pointwise_rel(1e-4);
-  const auto sz = make_compressor("sz", eb);
-  CheckpointManager mgr(std::make_unique<MemoryStore>(), sz.get());
-  mgr.set_block_pipeline(kBlock);
-  Vector x = solver_like(8 * kBlock, 17);
-  mgr.protect(0, "x", &x);
-  const Vector original = x;
-  mgr.checkpoint();
-  x.assign(x.size(), 0.0);
-  mgr.recover();
-  expect_bound_holds(original, x, eb);
+// Stream header (11 bytes), then the one frame's header: style at 11,
+// raw_len at 12, comp_len at 16, CRC at 20, its payload from 24.
+constexpr std::size_t kOneFramePayload = 24;
+
+void reseal_one_frame(std::vector<byte_t>& blob) {
+  std::uint32_t raw_len;
+  std::memcpy(&raw_len, blob.data() + 12, 4);
+  const std::uint32_t crc = crc32({blob.data() + kOneFramePayload, raw_len});
+  std::memcpy(blob.data() + 20, &crc, 4);
+}
+
+TEST(FramedChunks, CorruptChunkLengthOrPayloadIsRejected) {
+  const auto deflate = make_compressor("deflate");
+  const Vector x = smooth_vector(4 * 256, 7);
+  const auto good = one_frame_checkpoint(*deflate, x, 256);
+  const auto recover_with = [&](const std::vector<byte_t>& blob) {
+    auto store = std::make_unique<MemoryStore>();
+    store->write(0, blob);
+    CheckpointManager mgr(std::move(store), deflate.get());
+    Vector back;
+    mgr.protect(0, "x", &back);
+    mgr.recover();
+    return back;
+  };
+  ASSERT_EQ(recover_with(good), x);
+
+  // Logical stream: u16 version, u32 count, i32 id, str "x", u8 kind,
+  // str "deflate", u64 elem_count, u8 layout, u64 chunk_elems, then the
+  // first chunk's u64 length.
+  const std::size_t chunk_elems_at = kOneFramePayload + 2 + 4 + 4 + 5 + 1 + 11 +
+                                     8 + 1;
+  const std::size_t length_at = chunk_elems_at + 8;
+  std::uint64_t field;
+  std::memcpy(&field, good.data() + chunk_elems_at, 8);
+  ASSERT_EQ(field, 256u);
+  std::uint64_t length;
+  std::memcpy(&length, good.data() + length_at, 8);
+  ASSERT_GT(length, 0u);
+  ASSERT_LE(length, 256u * sizeof(double) + 64);  // codec header + chunk
+
+  for (const std::uint64_t bad_length :
+       {length - 1, length + 1, std::uint64_t{0}, std::uint64_t{1} << 63}) {
+    SCOPED_TRACE(bad_length);
+    auto bad = good;
+    std::memcpy(bad.data() + length_at, &bad_length, 8);
+    reseal_one_frame(bad);
+    EXPECT_THROW((void)recover_with(bad), corrupt_stream_error);
+  }
+
+  // A flipped payload byte in any chunk fails the frame CRC.
+  for (int q = 0; q < 4; ++q) {
+    auto bad = good;
+    const std::size_t span = bad.size() - length_at - 8 - kFrameHeaderBytes;
+    bad[length_at + 8 + span * q / 4] ^= 0x10;
+    EXPECT_THROW((void)recover_with(bad), corrupt_stream_error) << q;
+  }
+}
+
+TEST(FramedChunks, BlockPrefixIsNotACodecName) {
+  EXPECT_THROW((void)make_compressor("block+sz"), config_error);
+  EXPECT_THROW((void)make_compressor("block+deflate"), config_error);
+}
+
+TEST(FramedChunks, LegacyBlockStreamFailsWithCompressorMismatch) {
+  // Legacy "CKPT" streams once stored large vectors as "block+<codec>";
+  // they now name a codec nobody registers.
+  const auto deflate = make_compressor("deflate");
+  const Vector x = smooth_vector(100, 9);
+  const auto payload = deflate->compress(x);
+  ByteWriter out;
+  out.put(std::uint32_t{0x54504b43u});  // "CKPT"
+  out.put(std::uint16_t{1});
+  out.put(std::uint32_t{1});
+  out.put(std::int32_t{0});
+  out.put_string("x");
+  out.put(std::uint8_t{0});  // vector
+  out.put_string("block+deflate");
+  out.put(static_cast<std::uint64_t>(x.size()));
+  out.put(static_cast<std::uint64_t>(payload.size()));
+  out.put(crc32(payload));
+  out.put_bytes(payload);
+  auto store = std::make_unique<MemoryStore>();
+  store->write(0, out.view());
+  CheckpointManager mgr(std::move(store), deflate.get());
+  Vector back;
+  mgr.protect(0, "x", &back);
+  try {
+    mgr.recover();
+    FAIL() << "a block+ stream was accepted";
+  } catch (const corrupt_stream_error& e) {
+    EXPECT_NE(std::string(e.what()).find("compressor mismatch"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace
